@@ -28,6 +28,8 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 from scipy import integrate
 
+from .util import spawn_rng
+
 __all__ = [
     "ActivationSpec",
     "TwoLayerNetwork",
@@ -350,7 +352,7 @@ def rademacher_estimate(sample, activation: ActivationSpec = RELU, restarts: int
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     n, d = X.shape
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n, d)))
+    rng = spawn_rng(seed, n, d)
     draws = np.empty(sign_draws)
     for i in range(sign_draws):
         xi = rng.choice([-1.0, 1.0], size=n)

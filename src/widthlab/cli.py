@@ -34,7 +34,6 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
     kernels.QuadratureError,
-    widthprobe.OptimizationError,
     barron.OptimizationError,
     np.linalg.LinAlgError,
     FloatingPointError,
@@ -77,6 +76,7 @@ class ParamSpec:
     default: object = None
     required: bool = False
     help: str = ""
+    minimum: Optional[int] = None  # lower bound on the value, or on each element
 
 
 _SPECS: Dict[str, List[ParamSpec]] = {
@@ -95,44 +95,48 @@ _SPECS: Dict[str, List[ParamSpec]] = {
         ParamSpec("c-fast", float, 1.0),
         ParamSpec("c-slow", float, 1.0),
         ParamSpec("c-slow-upper", float, 1.0),
-        ParamSpec("k-max", int, 6, help="number of scales (log-domain, <= 12)"),
+        ParamSpec("k-max", int, 6, help="number of scales (log-domain, <= 12)",
+                  minimum=1),
     ],
     "transport": [
-        ParamSpec("d", int, required=True),
+        ParamSpec("d", int, required=True, minimum=1),
         ParamSpec("n-list", _parse_int_list, required=True,
-                  help="comma-separated empirical sizes"),
-        ParamSpec("trials", int, 20),
-        ParamSpec("grid", int, 64, help="per-axis resolution of the reference grid"),
+                  help="comma-separated empirical sizes", minimum=1),
+        ParamSpec("trials", int, 20, minimum=1),
+        ParamSpec("grid", int, 64, help="per-axis resolution of the reference grid",
+                  minimum=1),
         ParamSpec("norm", str, "ell_inf"),
         ParamSpec("periodic", _parse_bool, False,
                   help="wrap coordinates (flat torus) instead of the plain cube"),
     ],
     "barron": [
         ParamSpec("mode", str, "rademacher", help="rademacher | network"),
-        ParamSpec("d", int, 2),
-        ParamSpec("n-list", _parse_int_list, [16, 64, 256, 1024]),
-        ParamSpec("sign-draws", int, 32),
-        ParamSpec("restarts", int, 16),
+        ParamSpec("d", int, 2, minimum=1),
+        ParamSpec("n-list", _parse_int_list, [16, 64, 256, 1024], minimum=1),
+        ParamSpec("sign-draws", int, 32, minimum=1),
+        ParamSpec("restarts", int, 16, minimum=1),
         ParamSpec("network", str, None, help="network JSON file (mode=network)"),
     ],
     "kernels": [
         ParamSpec("kind", str, "random_feature_relu_sphere"),
-        ParamSpec("d", int, required=True, help="sphere dimension (inputs in R^(d+1))"),
-        ParamSpec("degrees", int, 12),
-        ParamSpec("n", int, 0, help="Nystrom points (0 = skip)"),
+        ParamSpec("d", int, required=True, help="sphere dimension (inputs in R^(d+1))",
+                  minimum=1),
+        ParamSpec("degrees", int, 12, minimum=0),
+        ParamSpec("n", int, 0, help="Nystrom points (0 = skip)", minimum=0),
         ParamSpec("a0", float, 1.0),
-        ParamSpec("samples", int, 8192, help="Monte-Carlo feature samples"),
-        ParamSpec("quadrature-points", int, 200),
+        ParamSpec("samples", int, 8192, help="Monte-Carlo feature samples", minimum=1),
+        ParamSpec("quadrature-points", int, 200, minimum=64),
     ],
     "width": [
         ParamSpec("target", str, "distance", help="distance | absdist | barron"),
-        ParamSpec("d", int, 2),
+        ParamSpec("d", int, 2, minimum=1),
         ParamSpec("t-grid", _parse_float_list, required=True),
-        ParamSpec("width", int, 64),
-        ParamSpec("restarts", int, 6),
-        ParamSpec("steps", int, 600),
-        ParamSpec("quad", int, 2048),
-        ParamSpec("anchor-points", int, 3, help="anchors of the distance target"),
+        ParamSpec("width", int, 64, minimum=1),
+        ParamSpec("restarts", int, 6, minimum=1),
+        ParamSpec("steps", int, 600, minimum=1),
+        ParamSpec("quad", int, 2048, minimum=1),
+        ParamSpec("anchor-points", int, 3, help="anchors of the distance target",
+                  minimum=1),
         ParamSpec("network", str, None, help="target network JSON (target=barron)"),
     ],
 }
@@ -207,6 +211,11 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
     if missing:
         raise ValueError(
             "missing required flag(s): " + ", ".join(f"--{name}" for name in missing))
+    for s in specs:
+        value = resolved[s.name]
+        if s.minimum is not None and value is not None and any(
+                v < s.minimum for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"--{s.name} must be >= {s.minimum}, got {value}")
     if seed is not None and seed < 0:
         raise ValueError("--seed must be nonnegative")
     return RunConfig(
@@ -388,10 +397,9 @@ def _run_kernels(cfg: RunConfig) -> RunOutput:
     spec_obj = kernels.exact_spectrum(d, p["degrees"], p["quadrature-points"])
     rows = [{"k": e.k, "lambda": e.value, "mult": e.mult,
              "flagged": e.k in spec_obj.flags} for e in spec_obj.degrees]
-    mu = spec_obj.mu()
     summary = {"degrees": [{"k": e.k, "lambda": e.value, "mult": e.mult}
                            for e in spec_obj.degrees],
-               "mu": [float(v) for v in mu[:10_000]],
+               "mu": [float(v) for v in spec_obj.mu(10_000)],
                "flags": {str(k): v for k, v in spec_obj.flags.items()},
                "trace_sum": spec_obj.trace_sum()}
     if p["n"]:

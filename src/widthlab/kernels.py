@@ -24,8 +24,9 @@ The closed form
 :func:`funk_hecke_eigenvalue` evaluates the same quantity independently
 (Gauss-Jacobi instead of gamma functions) and is authoritative where the
 two disagree: it vanishes identically for odd k >= 3, where the closed form
-does not, and it carries a sign at some even degrees.  Degrees 0 and 1 sit
-outside the closed form's validity and are always taken from the oracle.
+does not, and its sign alternates between consecutive even degrees, so every
+k = 0 (mod 4) is negative and flagged "sign".  Degrees 0 and 1 sit outside
+the closed form's validity and are always taken from the oracle.
 
 ``nystrom_spectrum`` discretizes the operator matching the tabulated
 convention (the scaled first-order operator for the sphere kind), so its
@@ -46,6 +47,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special
+
+from .util import spawn_rng
 
 __all__ = [
     "KernelError",
@@ -69,7 +72,6 @@ __all__ = [
     "KernelSpectrum",
     "exact_spectrum",
     "projection_tail_bound",
-    "PROJECTION_COMPLEMENT_NORM",
 ]
 
 
@@ -83,11 +85,6 @@ class UnsupportedDegreeError(KernelError):
 
 class QuadratureError(RuntimeError):
     """Quadrature refinement did not converge to the requested tolerance."""
-
-
-#: Operator norm of the projection onto the orthogonal complement of any
-#: closed eigenspace span (the companion constant to the tail bound).
-PROJECTION_COMPLEMENT_NORM = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +318,7 @@ def mc_kernel(spec: KernelSpec, x, y, samples: int = 10_000,
         raise KernelError("samples must be >= 100")
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = spawn_rng(seed)
     X = np.vstack([x, y])
     if spec.kind == "ntk_relu":
         prods = _ntk_gram_matrix(X, spec.a0, samples, rng, return_products=True)
@@ -419,7 +416,7 @@ def ntk_gram(points, a0: float, param_samples: int = 8192, seed: int = 0) -> Ntk
         raise KernelError("points must be a (n, d) array")
     if a0 <= 0:
         raise KernelError("a0 must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = spawn_rng(seed)
     K_rf, K_ntk = _ntk_gram_matrix(X, a0, param_samples, rng)
     rf, ntk = _gram_result(K_rf, X), _gram_result(K_ntk, X)
     lower_evals, lower_vecs = np.linalg.eigh(K_ntk - K_rf)
@@ -451,7 +448,7 @@ def nystrom_spectrum(spec: KernelSpec, n: int, seed: int = 0,
     """
     if n < 1 or n > MAX_NYSTROM_POINTS:
         raise KernelError(f"n must lie in [1, {MAX_NYSTROM_POINTS}]")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = spawn_rng(seed)
     if spec.kind == "random_feature_relu_sphere":
         # points on S^d in R^(d+1), matching the spectrum tables
         X = uniform_sphere_points(n, spec.d, rng)
@@ -485,21 +482,24 @@ class KernelSpectrum:
     """Eigenvalues per harmonic degree plus the flattened repeated sequence.
 
     ``flags`` records degrees where the closed form and the quadrature
-    oracle disagree (odd degrees where the oracle vanishes, sign flips at
-    even degrees); the stored value is always the oracle's, never an
-    average of the two.
+    oracle disagree (odd degrees k >= 3, where the oracle vanishes, and
+    every k = 0 (mod 4), where the oracle's sign, alternating between
+    consecutive even degrees, is negative); the stored value is always the
+    oracle's, never an average of the two.
     """
 
     d: int
     degrees: List[DegreeEigenvalue]
     flags: Dict[int, dict]
 
-    def mu(self) -> np.ndarray:
-        """Eigenvalues repeated with multiplicity, sorted nonincreasing."""
-        reps = np.concatenate([
-            np.full(entry.mult, entry.value) for entry in self.degrees
-        ]) if self.degrees else np.zeros(0)
-        return np.sort(reps)[::-1]
+    def mu(self, count: Optional[int] = None) -> np.ndarray:
+        """Eigenvalues repeated with multiplicity, sorted nonincreasing; with
+        ``count``, only the leading ``count`` entries are built."""
+        top = sorted(self.degrees, key=lambda e: e.value, reverse=True)
+        ends = np.cumsum([e.mult for e in top], dtype=np.int64)
+        if count is not None:
+            ends = np.minimum(ends, max(count, 0))
+        return np.repeat([e.value for e in top], np.diff(ends, prepend=0))
 
     def trace_sum(self) -> float:
         return float(sum(e.mult * e.value for e in self.degrees))
@@ -550,10 +550,9 @@ def projection_tail_bound(spectrum: KernelSpectrum, n: int) -> float:
     """Tail bound ``1 / sqrt(mu_(n+1))`` in the flattened indexing.
 
     ``mu_(n+1)`` is the (n+1)-th largest eigenvalue counted with
-    multiplicity.  Pairs with the complement-projection norm
-    :data:`PROJECTION_COMPLEMENT_NORM`.
+    multiplicity.
     """
-    mu = spectrum.mu()
+    mu = spectrum.mu(n + 1)
     if not 0 <= n < mu.size:
         raise KernelError(f"n+1 = {n + 1} exceeds the computed spectrum length {mu.size}")
     val = mu[n]

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .util import fit_loglog, spawn_rng
+from .util import fit_loglog, midpoint_grid, spawn_rng
 
 __all__ = [
     "TransportError",
@@ -81,10 +81,7 @@ class TorusMetricConfig:
             raise TransportError(f"unsupported norm {self.norm!r}")
 
     def _coord_diffs(self, X, Y):
-        D = np.abs(X[:, None, :] - Y[None, :, :])
-        if self.periodic:
-            D = np.minimum(D, 1.0 - D)
-        return D
+        return _per_coord_periodic_dist(X[:, None, :] - Y[None, :, :], self.periodic)
 
     def pairwise(self, X, Y) -> np.ndarray:
         """Distance matrix between rows of X and rows of Y."""
@@ -101,12 +98,6 @@ class TorusMetricConfig:
         if self.norm == "ell_inf":
             return 2.0**d
         return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-    def diameter(self, d: int) -> float:
-        per_coord = 0.5 if self.periodic else 1.0
-        if self.norm == "ell_inf":
-            return per_coord
-        return per_coord * math.sqrt(d)
 
     def mean_ball_radius_factor(self, d: int) -> float:
         """Average of |x| over the unit ball; equals d/(d+1) for either norm."""
@@ -173,9 +164,7 @@ class DiscreteMeasure:
         if resolution**d > 1_000_000:
             raise TransportError(
                 f"grid of size {resolution}^{d} exceeds the 1e6-atom exact-solver budget")
-        axis = (np.arange(resolution) + 0.5) / resolution
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
+        pts = midpoint_grid(d, resolution)
         return cls(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
 
     def drop_zero_atoms(self) -> "DiscreteMeasure":
@@ -548,8 +537,7 @@ def smoothing_operator_constant(d: int, gamma: float,
     giving ``sqrt((1 + (2 gamma)^d) / (omega_d gamma^d))``.
     """
     omega = metric.unit_ball_volume(d)
-    cbar = 1.0  # exact for cube-shaped balls
-    return math.sqrt((1.0 + cbar * 2.0**d * gamma**d) / (omega * gamma**d))
+    return math.sqrt((1.0 + 2.0**d * gamma**d) / (omega * gamma**d))
 
 
 # ---------------------------------------------------------------------------

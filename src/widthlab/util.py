@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic seeding, slope fits, float formatting."""
+"""Shared utilities: deterministic seeding, grids, slope fits, float formatting."""
 
 from __future__ import annotations
 
@@ -17,6 +17,13 @@ def spawn_rng(master_seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
+
+
+def midpoint_grid(d: int, res: int) -> np.ndarray:
+    """Cell midpoints of the ``res^d`` grid on [0,1]^d, last coordinate fastest."""
+    axis = (np.arange(res) + 0.5) / res
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def fmt_float(x: float) -> str:

@@ -23,8 +23,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .barron import RELU, TwoLayerNetwork, lipschitz_bound, path_norm
-from .util import fit_loglog, spawn_rng
+from .barron import RELU, OptimizationError, TwoLayerNetwork, lipschitz_bound, path_norm
+from .util import fit_loglog, midpoint_grid, spawn_rng
 
 __all__ = [
     "TargetError",
@@ -43,10 +43,6 @@ __all__ = [
 
 class TargetError(ValueError):
     """Target function fails its declared contract."""
-
-
-class OptimizationError(RuntimeError):
-    """All restarts diverged."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +83,7 @@ class TargetFunction:
 
     def verify_lipschitz(self, seed: int = 0, pairs: int = 10_000, slack: float = 1e-9):
         """Check the declared constant on random pairs; raise on violation."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        rng = spawn_rng(seed)
         X = rng.random((pairs, self.d))
         Y = rng.random((pairs, self.d))
         num = np.abs(np.asarray(self.fn(X)) - np.asarray(self.fn(Y)))
@@ -109,15 +105,12 @@ def _quadrature_points(quadrature, d: int, seed: int) -> np.ndarray:
     """("mc", N) uniform points or ("grid", res) midpoint tensor grid."""
     kind, size = quadrature
     if kind == "mc":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        return rng.random((int(size), d))
+        return spawn_rng(seed).random((int(size), d))
     if kind == "grid":
         res = int(size)
         if res**d > 2_000_000:
             raise TargetError(f"grid {res}^{d} too large")
-        axis = (np.arange(res) + 0.5) / res
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return midpoint_grid(d, res)
     raise TargetError(f"unknown quadrature kind {kind!r}")
 
 
@@ -167,29 +160,39 @@ class FitConfig:
     polish_iters: int = 300  # quasi-Newton sharpening of the best restart
 
 
+def _relu_loss(a, W, b, X, y, grad=False):
+    """``(loss, act, grads)`` of ``f = relu(X W^T + b) a / m`` against y: the
+    mean squared residual, the hidden activations and, when ``grad`` is set,
+    ``(d/da, d/dW, d/db)`` (relu' is 0 at 0), else None."""
+    m, n = a.shape[0], X.shape[0]
+    pre = X @ W.T + b
+    act = np.maximum(pre, 0.0)
+    resid = act @ a / m - y
+    loss = float(resid @ resid) / n
+    if not grad:
+        return loss, act, None
+    g_common = 2.0 * resid / (n * m)
+    mask = (pre > 0) * (g_common[:, None] * a[None, :])
+    return loss, act, (act.T @ g_common, mask.T @ X, mask.sum(axis=0))
+
+
 def _lbfgs_polish(a, W, b, X, y, maxiter=300):
     """Unconstrained quasi-Newton refinement; callers re-project afterwards."""
     m, d = W.shape
-    n = X.shape[0]
+
+    def unpack(v):
+        aa, WW, bb = np.split(v, [m, m + m * d])
+        return aa, WW.reshape(m, d), bb
 
     def fg(v):
-        aa = v[:m]
-        WW = v[m:m + m * d].reshape(m, d)
-        bb = v[m + m * d:]
-        pre = X @ WW.T + bb
-        act = np.maximum(pre, 0.0)
-        resid = act @ aa / m - y
-        g_common = 2.0 * resid / (n * m)
-        mask = (pre > 0) * (g_common[:, None] * aa[None, :])
-        grad = np.concatenate([act.T @ g_common, (mask.T @ X).ravel(), mask.sum(axis=0)])
-        return float(resid @ resid) / n, grad
+        loss, _, grads = _relu_loss(*unpack(v), X, y, grad=True)
+        return loss, np.concatenate([g.ravel() for g in grads])
 
     x0 = np.concatenate([a, W.ravel(), b])
     res = minimize(fg, x0, jac=True, method="L-BFGS-B",
                    options={"maxiter": maxiter, "maxcor": 30,
                             "ftol": 1e-18, "gtol": 1e-14})
-    v = res.x
-    return v[:m], v[m:m + m * d].reshape(m, d), v[m + m * d:]
+    return unpack(res.x)
 
 
 @dataclass
@@ -281,30 +284,20 @@ def _adam_fit(target, t, width, config, X, y, rng) -> Tuple[TwoLayerNetwork, flo
     """One restart of projected Adam on the shared quadrature set."""
     net = _init_network(width, target.d, t, rng)
     a, W, b = net.outer.copy(), net.inner.copy(), net.bias.copy()
-    m = width
-    n = X.shape[0]
     state = [np.zeros_like(p) for p in (a, W, b)]
     state2 = [np.zeros_like(p) for p in (a, W, b)]
     beta1, beta2 = config.adam_beta1, config.adam_beta2
     eps = 1e-8
     best_loss, best = np.inf, None
     for step in range(config.steps):
-        pre = X @ W.T + b
-        act = np.maximum(pre, 0.0)
-        resid = act @ a / m - y
-        loss = float(resid @ resid) / n
+        loss, _, grads = _relu_loss(a, W, b, X, y, grad=True)
         if not math.isfinite(loss):
             raise OptimizationError("non-finite loss")
         if loss < best_loss:
             best_loss, best = loss, (a.copy(), W.copy(), b.copy())
-        g_common = 2.0 * resid / (n * m)
-        ga = act.T @ g_common
-        mask = (pre > 0) * (g_common[:, None] * a[None, :])
-        gW = mask.T @ X
-        gb = mask.sum(axis=0)
         lr = config.lr_floor + 0.5 * (config.lr - config.lr_floor) * (
             1 + math.cos(math.pi * step / config.steps))
-        for p, g, m1, m2 in zip((a, W, b), (ga, gW, gb), state, state2):
+        for p, g, m1, m2 in zip((a, W, b), grads, state, state2):
             m1 *= beta1
             m1 += (1 - beta1) * g
             m2 *= beta2
@@ -312,9 +305,8 @@ def _adam_fit(target, t, width, config, X, y, rng) -> Tuple[TwoLayerNetwork, flo
             mhat = m1 / (1 - beta1 ** (step + 1))
             vhat = m2 / (1 - beta2 ** (step + 1))
             p -= lr * mhat / (np.sqrt(vhat) + eps)
-        # radial projection back onto the budget ball
-        cand = TwoLayerNetwork(a, W, b, RELU, averaged=True)
-        pn = path_norm(cand)
+        # radial projection back onto the budget ball; path_norm's arithmetic
+        pn = float(np.sum(np.abs(a) * (np.abs(W).sum(axis=1) + np.abs(b)))) / width
         if pn > t and pn > 0:
             a *= t / pn
     polished = _lbfgs_polish(*best, X=X, y=y, maxiter=config.polish_iters) \
@@ -322,18 +314,15 @@ def _adam_fit(target, t, width, config, X, y, rng) -> Tuple[TwoLayerNetwork, flo
     finals = []
     for params in (best, polished, (a, W, b)):
         cand = project_path_norm(TwoLayerNetwork(*params, RELU, averaged=True), t)
-        pre = X @ cand.inner.T + cand.bias
-        act = np.maximum(pre, 0.0)
-        resid = act @ cand.outer / m - y
-        finals.append((cand, float(resid @ resid) / n))
+        loss, act, _ = _relu_loss(cand.outer, cand.inner, cand.bias, X, y)
+        finals.append((cand, loss))
         # convex polish: with these features frozen, the outer layer solves a
         # budgeted least-squares problem exactly
         costs = np.abs(cand.inner).sum(axis=1) + np.abs(cand.bias)
-        a_star = _refit_outer(act, y, costs, m, t, cand.outer)
+        a_star = _refit_outer(act, y, costs, width, t, cand.outer)
         refit = TwoLayerNetwork(a_star, cand.inner.copy(), cand.bias.copy(),
                                 RELU, averaged=True)
-        resid = act @ a_star / m - y
-        finals.append((refit, float(resid @ resid) / n))
+        finals.append((refit, _relu_loss(a_star, refit.inner, refit.bias, X, y)[0]))
     return min(finals, key=lambda c: c[1])
 
 

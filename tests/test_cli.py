@@ -189,6 +189,15 @@ class TestSubcommandSmoke:
         assert rc == 2
         assert "--network" in capsys.readouterr().err
 
+    def test_kernels_spectrum_at_degree_120(self, tmp_path):
+        """The d=6 spectrum to degree 120 (the degree criterion 2 uses) has
+        about 9.6e9 flattened entries; only the 10,000 reported are built."""
+        rc = cli.main(["kernels", "--d", "6", "--degrees", "120", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "results.json").read_text())
+        assert len(summary["mu"]) == 10_000
+        assert summary["mu"] == sorted(summary["mu"], reverse=True)
+
     def test_width_curve(self, tmp_path):
         rc = cli.main(["width", "--target", "absdist", "--d", "1",
                        "--t-grid", "0.5,1.5", "--width", "8", "--restarts", "1",
@@ -206,3 +215,34 @@ class TestSubcommandSmoke:
         rc = cli.main(["schedule", "--alpha", "1.0", "--beta", "0.25",
                        "--out", str(tmp_path)])
         assert rc == 3
+
+
+# Valid values for each subcommand's required flags.
+_REQUIRED_ARGV = {
+    "separation": ["--alpha", "1", "--beta", "0.25", "--t", "1,2"],
+    "schedule": ["--alpha", "1", "--beta", "0.25"],
+    "transport": ["--d", "1", "--n-list", "4"],
+    "barron": [],
+    "kernels": ["--d", "2"],
+    "width": ["--t-grid", "1"],
+}
+_INT_SPECS = [(sub, spec) for sub, specs in cli._SPECS.items() for spec in specs
+              if spec.parse in (int, cli._parse_int_list)]
+
+
+@pytest.mark.parametrize("sub,spec", _INT_SPECS,
+                         ids=[f"{sub}--{spec.name}" for sub, spec in _INT_SPECS])
+def test_int_flag_below_minimum_exits_2(sub, spec, tmp_path, capsys):
+    """Every integer flag has a lower bound, and a value just below it is
+    rejected before any computation: exit 2, no traceback, flag named."""
+    assert spec.minimum is not None
+    bad = str(spec.minimum - 1)
+    if spec.parse is cli._parse_int_list:
+        bad = f"{spec.minimum},{bad}"
+    rc = cli.main([sub, *_REQUIRED_ARGV[sub], f"--{spec.name}", bad,
+                   "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert f"--{spec.name}" in err
+    assert not (tmp_path / "results.csv").exists()

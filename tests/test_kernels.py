@@ -296,6 +296,8 @@ class TestSpectrumAssembly:
         # degree 4 carries a sign flip relative to the closed form
         assert vals[4] == pytest.approx(-1 / (96 * pi), rel=1e-9)
         assert spec.flags[4]["reason"] == "sign"
+        # the oracle's sign alternates over even degrees: k = 0 (mod 4) flips
+        assert [k for k, f in spec.flags.items() if f["reason"] == "sign"] == [4, 8]
 
     def test_flattened_sequence_structure(self):
         spec = exact_spectrum(2, 6)
@@ -304,6 +306,16 @@ class TestSpectrumAssembly:
         assert mu[0] == pytest.approx(1 / (4 * pi), rel=1e-9)
         np.testing.assert_allclose(mu[1:4], 1 / (6 * pi), rtol=1e-9)
         np.testing.assert_allclose(mu[4:9], 1 / (16 * pi), rtol=1e-9)
+
+    def test_leading_entries_match_full_sort(self):
+        """``mu(count)`` is the head of the fully materialised, sorted
+        sequence, which stays here as the reference."""
+        spec = exact_spectrum(6, 30)
+        full = np.sort(np.concatenate([np.full(e.mult, e.value)
+                                       for e in spec.degrees]))[::-1]
+        np.testing.assert_array_equal(spec.mu(), full)
+        for count in (0, 1, 7, 10_000, full.size - 1, full.size, full.size + 5):
+            np.testing.assert_array_equal(spec.mu(count), full[:count])
 
     def test_trace_identity_against_gram_diagonal(self):
         """Signed eigenvalue totals reproduce the operator's diagonal value

@@ -16,6 +16,7 @@ from widthlab.widthprobe import (
     project_path_norm,
     rho_curve,
 )
+from widthlab.widthprobe import _relu_loss
 
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
 
@@ -111,6 +112,34 @@ class TestL2Error:
         _, se1 = l2_error(net, target, ("mc", 4096), seed=8)
         _, se2 = l2_error(net, target, ("mc", 8192), seed=8)
         assert se2 / se1 == pytest.approx(1 / np.sqrt(2), rel=0.2)
+
+
+class TestReluLoss:
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(11)
+        m, d, n = 5, 3, 40
+        a, W, b = rng.standard_normal(m), rng.standard_normal((m, d)), rng.standard_normal(m)
+        X, y = rng.random((n, d)), rng.standard_normal(n)
+        # no pre-activation within reach of a kink, so the loss is smooth
+        assert np.min(np.abs(X @ W.T + b)) > 1e-3
+        loss, act, grads = _relu_loss(a, W, b, X, y, grad=True)
+        net = TwoLayerNetwork(a, W, b, RELU, averaged=True)
+        assert loss == pytest.approx(np.mean((net.evaluate(X) - y) ** 2), rel=1e-12)
+        np.testing.assert_array_equal(act, np.maximum(X @ W.T + b, 0.0))
+        assert _relu_loss(a, W, b, X, y)[2] is None
+        h = 1e-6
+        for p, g in zip((a, W, b), grads):
+            assert g.shape == p.shape
+            fd = np.empty_like(p)
+            for i in np.ndindex(p.shape):
+                orig = p[i]
+                p[i] = orig + h
+                up = _relu_loss(a, W, b, X, y)[0]
+                p[i] = orig - h
+                down = _relu_loss(a, W, b, X, y)[0]
+                p[i] = orig
+                fd[i] = (up - down) / (2 * h)
+            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
 class TestFitConstrained:
