@@ -4,9 +4,8 @@ Data space is ``[-1,1]^d`` (or ``[0,1]^d``) with the sup norm; inner weights
 are measured in the dual l1 norm throughout (``q=1``), with ``q=2``
 available.  The path norm of a network ``f(x) = (1/m) sum a_i s(w_i.x+b_i)``
 is ``(1/m) sum |a_i| (|w_i|_q + off(b_i))`` where the offset term is ``|b|``
-for relu, ``1`` for bounded sigmoidal activations and ``|b|+1`` for general
-unbounded Lipschitz activations.  The path norm is the complexity proxy that
-drives every bound in this module:
+for relu and ``1`` for the bounded sigmoidal tanh.  The path norm is the
+complexity proxy that drives every bound in this module:
 
 - Rademacher complexity of the unit path-norm ball is estimated empirically
   (supremum over signed normalized single neurons, the extreme points of the
@@ -28,7 +27,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 from scipy import integrate
 
-from .util import spawn_rng
+from .util import as_points, spawn_rng
 
 __all__ = [
     "ActivationSpec",
@@ -65,16 +64,15 @@ class ActivationSpec:
     """Activation with its Lipschitz constant and path-weight offset rule.
 
     ``kind`` is one of ``"relu"`` (positively 1-homogeneous, offset |b|) or
-    ``"tanh"`` (bounded sigmoidal, offset 1).  Custom Lipschitz activations
-    can be registered via :meth:`custom`; unbounded non-homogeneous ones get
-    the generic offset ``|b| + 1``.
+    ``"tanh"`` (bounded sigmoidal, offset 1).
     """
 
     kind: str = "relu"
     lipschitz: float = 1.0
-    _fn: Optional[Callable] = field(default=None, compare=False, repr=False)
-    _dfn: Optional[Callable] = field(default=None, compare=False, repr=False)
-    bounded: bool = False
+
+    def __post_init__(self):
+        if self.kind not in ("relu", "tanh"):
+            raise ValueError(f"unknown activation {self.kind!r}")
 
     @classmethod
     def relu(cls) -> "ActivationSpec":
@@ -82,38 +80,24 @@ class ActivationSpec:
 
     @classmethod
     def tanh(cls) -> "ActivationSpec":
-        return cls(kind="tanh", lipschitz=1.0, bounded=True)
-
-    @classmethod
-    def custom(cls, name, fn, dfn, lipschitz, bounded=False) -> "ActivationSpec":
-        return cls(kind=name, lipschitz=float(lipschitz), _fn=fn, _dfn=dfn, bounded=bounded)
+        return cls(kind="tanh", lipschitz=1.0)
 
     def apply(self, z):
         if self.kind == "relu":
             return np.maximum(z, 0.0)
-        if self.kind == "tanh":
-            return np.tanh(z)
-        if self._fn is None:
-            raise ValueError(f"unknown activation {self.kind!r}")
-        return self._fn(z)
+        return np.tanh(z)
 
     def derivative(self, z):
         # relu derivative at 0 is taken as 0 (a measure-zero convention)
         if self.kind == "relu":
             return (np.asarray(z) > 0).astype(float)
-        if self.kind == "tanh":
-            return 1.0 - np.tanh(z) ** 2
-        if self._dfn is None:
-            raise ValueError(f"unknown activation {self.kind!r}")
-        return self._dfn(z)
+        return 1.0 - np.tanh(z) ** 2
 
     def path_offset(self, b):
         """Contribution of the bias to the per-neuron path weight."""
         if self.kind == "relu":
             return np.abs(b)
-        if self.bounded:
-            return np.ones_like(np.asarray(b, dtype=float))
-        return np.abs(b) + 1.0
+        return np.ones_like(np.asarray(b, dtype=float))
 
 
 RELU = ActivationSpec.relu()
@@ -263,7 +247,10 @@ class RademacherEstimate:
         return int(np.sum(self.draws > self.bound))
 
 
-def _sup_relu_draw(X, xi, restarts, steps, rng):
+_ASCENT_STEPS = 60  # projected ascent steps per restart and sign
+
+
+def _sup_relu_draw(X, xi, restarts, rng):
     """max over normalized relu neurons +-s(w.x+b)/(|w|_1+|b|) of the signed
     empirical mean.
 
@@ -289,7 +276,7 @@ def _sup_relu_draw(X, xi, restarts, steps, rng):
     for sign in (1.0, -1.0):
         P = W0.copy()
         step = 0.5
-        for _ in range(steps):
+        for _ in range(_ASCENT_STEPS):
             pre = X @ P[:, :d].T + P[:, d]
             mask = (pre > 0).astype(float) * xi[:, None]
             grad = np.column_stack([(X.T @ mask).T, mask.sum(axis=0)]) * (sign / n)
@@ -306,7 +293,7 @@ def _sup_relu_draw(X, xi, restarts, steps, rng):
     return best
 
 
-def _sup_smooth_draw(X, xi, activation, restarts, steps, rng):
+def _sup_smooth_draw(X, xi, activation, restarts, rng):
     """Ascent on +-s(w.x+b)/(|w|_1+1) for bounded sigmoidal activations."""
     n, d = X.shape
     P0 = rng.standard_normal((restarts, d + 1))
@@ -314,7 +301,7 @@ def _sup_smooth_draw(X, xi, activation, restarts, steps, rng):
     for sign in (1.0, -1.0):
         Q = P0.copy()
         step = 0.5
-        for _ in range(steps):
+        for _ in range(_ASCENT_STEPS):
             w, b = Q[:, :d], Q[:, d]
             pre = X @ w.T + b
             c = np.abs(w).sum(axis=1) + 1.0
@@ -335,18 +322,15 @@ def _sup_smooth_draw(X, xi, activation, restarts, steps, rng):
 
 
 def rademacher_estimate(sample, activation: ActivationSpec = RELU, restarts: int = 16,
-                        seed: int = 0, sign_draws: int = 32, steps: int = 60,
-                        ) -> RademacherEstimate:
+                        seed: int = 0, sign_draws: int = 32) -> RademacherEstimate:
     """Monte-Carlo Rademacher complexity of the unit path-norm ball.
 
     For each sign vector the supremum over the ball is reduced to signed
     normalized single neurons (the ball's extreme points) and maximized by
-    multi-start ascent.  The returned per-draw values are optimizer lower
-    bounds on the true suprema; each must stay below the closed-form bound.
+    multi-start ascent (60 steps).  The returned per-draw values are optimizer
+    lower bounds on the true suprema; each must stay below the closed-form bound.
     """
-    X = np.asarray(sample, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+    X = as_points(sample)
     if X.size == 0:
         raise ValueError("sample must be nonempty")
     if restarts < 1:
@@ -357,9 +341,9 @@ def rademacher_estimate(sample, activation: ActivationSpec = RELU, restarts: int
     for i in range(sign_draws):
         xi = rng.choice([-1.0, 1.0], size=n)
         if activation.kind == "relu":
-            draws[i] = _sup_relu_draw(X, xi, restarts, steps, rng)
+            draws[i] = _sup_relu_draw(X, xi, restarts, rng)
         else:
-            draws[i] = _sup_smooth_draw(X, xi, activation, restarts, steps, rng)
+            draws[i] = _sup_smooth_draw(X, xi, activation, restarts, rng)
     return RademacherEstimate(
         estimate=float(draws.mean()),
         bound=rademacher_bound(n, d, activation.lipschitz),
@@ -559,9 +543,7 @@ def mc_integration_gap(nets_with_integrals: Iterable[Tuple[TwoLayerNetwork, floa
     supremum over the unit ball is controlled by the Rademacher-based bound
     reported alongside.
     """
-    X = np.asarray(sample, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+    X = as_points(sample)
     n, d = X.shape
     gaps = []
     for net, ref in nets_with_integrals:

@@ -213,19 +213,31 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
             "missing required flag(s): " + ", ".join(f"--{name}" for name in missing))
     for s in specs:
         value = resolved[s.name]
-        if s.minimum is not None and value is not None and any(
-                v < s.minimum for v in (value if isinstance(value, list) else [value])):
+        if value is None:
+            continue
+        values = value if isinstance(value, list) else [value]
+        if s.minimum is not None and any(v < s.minimum for v in values):
             raise ValueError(f"--{s.name} must be >= {s.minimum}, got {value}")
-    if seed is not None and seed < 0:
-        raise ValueError("--seed must be nonnegative")
+        if s.parse in (float, _parse_float_list) and not all(map(math.isfinite, values)):
+            raise ValueError(f"--{s.name} must be finite, got {value}")
     return RunConfig(
         subcommand=subcommand,
         parameters=resolved,
-        seed=seed if seed is not None else (file_seed if file_seed is not None else 0),
+        seed=_run_setting("seed", seed, file_seed, 0),
         output_dir=out if out is not None else (file_out or "."),
         emit_plots=plots if plots is not None else bool(file_plots),
-        threads=threads if threads is not None else (file_threads or 1),
+        threads=_run_setting("threads", threads, file_threads, 1),
     )
+
+
+def _run_setting(flag: str, value, file_value, minimum: int) -> int:
+    """The flag's value, else the config file's, else ``minimum``; it must be
+    an integer no smaller than ``minimum``."""
+    if value is None:
+        value = file_value if file_value is not None else minimum
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"--{flag} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +293,8 @@ def _run_schedule(cfg: RunConfig) -> RunOutput:
 
 def _run_transport(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
+    if len(set(p["n-list"])) < 2:
+        raise ValueError(f"--n-list needs at least two distinct sizes, got {p['n-list']}")
     metric = transport.TorusMetricConfig(norm=p["norm"], periodic=p["periodic"])
     report = transport.empirical_w1_rate(
         d=p["d"], n_values=p["n-list"], trials=p["trials"],
@@ -306,6 +320,8 @@ def _run_transport(cfg: RunConfig) -> RunOutput:
 def _run_barron(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
     if p["mode"] == "rademacher":
+        if len(set(p["n-list"])) < 2:
+            raise ValueError(f"--n-list needs at least two distinct sizes, got {p['n-list']}")
         d = p["d"]
         rows = []
         means = {}

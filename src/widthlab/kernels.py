@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lgamma, pi
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import special
@@ -184,8 +184,7 @@ def _kernel_profile_integral(d: int, k: int, profile, npts: int) -> float:
 
 def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200,
                           profile: Optional[Callable] = None,
-                          profile_kind: str = "activation",
-                          rel_tol: float = 1e-6) -> float:
+                          profile_kind: str = "activation") -> float:
     """Degree-k eigenvalue by one-dimensional Gegenbauer-weighted quadrature.
 
     With the default relu activation profile this reproduces the tabulated
@@ -194,8 +193,8 @@ def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200,
     against the surface-ratio prefactor, yielding the eigenvalue of the
     corresponding integral operator on the uniformly-measured sphere.
 
-    Two refinement levels are compared; disagreement beyond ``rel_tol``
-    relative raises :class:`QuadratureError` rather than returning a silent
+    Two refinement levels are compared; disagreement beyond 1e-6 relative
+    raises :class:`QuadratureError` rather than returning a silent
     wrong digit.
     """
     if d < 1 or k < 0:
@@ -221,7 +220,7 @@ def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200,
         raise KernelError(f"unknown profile_kind {profile_kind!r}")
 
     scale = max(abs(fine), abs(coarse))
-    if scale > 1e-13 and abs(fine - coarse) > rel_tol * scale:
+    if scale > 1e-13 and abs(fine - coarse) > 1e-6 * scale:
         raise QuadratureError(
             f"quadrature for (d={d}, k={k}) did not converge: {coarse} vs {fine}")
     return fine
@@ -291,19 +290,19 @@ def _relu(z):
 
 
 def _feature_matrix(spec: KernelSpec, X: np.ndarray, samples: int, rng):
-    """Feature activations (n_points, samples) plus the raw parameter draws."""
+    """Feature activations (n_points, samples)."""
     if spec.kind == "random_feature_relu_sphere":
         W = uniform_sphere_points(samples, spec.d, rng)
         if X.shape[1] != spec.d + 1:
             raise KernelError(f"sphere kind expects points in R^{spec.d + 1}")
-        return _relu(X @ W.T), (W, None)
+        return _relu(X @ W.T)
     if spec.kind == "random_feature_relu_gaussian":
         W = math.sqrt(2.0) * rng.standard_normal((samples, X.shape[1]))
-        return _relu(X @ W.T), (W, None)
+        return _relu(X @ W.T)
     if spec.kind == "custom_mc":
         W, b = spec.sampler(rng, samples)
         act = spec.activation if spec.activation is not None else _relu
-        return act(X @ np.asarray(W).T + (0.0 if b is None else np.asarray(b))), (W, b)
+        return act(X @ np.asarray(W).T + (0.0 if b is None else np.asarray(b)))
     raise KernelError(f"no plain feature map for kind {spec.kind!r}")
 
 
@@ -321,9 +320,12 @@ def mc_kernel(spec: KernelSpec, x, y, samples: int = 10_000,
     rng = spawn_rng(seed)
     X = np.vstack([x, y])
     if spec.kind == "ntk_relu":
-        prods = _ntk_gram_matrix(X, spec.a0, samples, rng, return_products=True)
+        pre, a = _ntk_features(X, spec.a0, samples, rng)
+        feat, dfeat = _relu(pre), (pre > 0).astype(float)
+        grad = (a**2) * dfeat[0] * dfeat[1] * (X @ X.T + 1.0)[0, 1]
+        prods = feat[0] * feat[1] + grad
     else:
-        feats, _ = _feature_matrix(spec, X, samples, rng)
+        feats = _feature_matrix(spec, X, samples, rng)
         prods = feats[0] * feats[1]
     est = float(prods.mean())
     se = float(prods.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -334,7 +336,6 @@ def mc_kernel(spec: KernelSpec, x, y, samples: int = 10_000,
 class GramResult:
     matrix: np.ndarray
     eigenvalues: np.ndarray  # nonincreasing
-    points: np.ndarray
 
     @property
     def trace(self) -> float:
@@ -345,10 +346,9 @@ class GramResult:
         return float(self.eigenvalues[-1])
 
 
-def _gram_result(K: np.ndarray, points: np.ndarray) -> GramResult:
+def _gram_result(K: np.ndarray) -> GramResult:
     K = 0.5 * (K + K.T)
-    ev = np.linalg.eigvalsh(K)[::-1]
-    return GramResult(matrix=K, eigenvalues=ev, points=points)
+    return GramResult(matrix=K, eigenvalues=np.linalg.eigvalsh(K)[::-1])
 
 
 def _ntk_features(X: np.ndarray, a0: float, samples: int, rng):
@@ -359,18 +359,12 @@ def _ntk_features(X: np.ndarray, a0: float, samples: int, rng):
     return pre, a
 
 
-def _ntk_gram_matrix(X, a0, samples, rng, return_products=False):
+def _ntk_gram_matrix(X, a0, samples, rng):
     pre, a = _ntk_features(X, a0, samples, rng)
     feat = _relu(pre)
     dfeat = (pre > 0).astype(float)
-    inner = X @ X.T + 1.0
-    if return_products:
-        # per-sample products for the two-point Monte-Carlo estimate
-        rf = feat[0] * feat[1]
-        grad = (a**2) * dfeat[0] * dfeat[1] * inner[0, 1]
-        return rf + grad
     K_rf = feat @ feat.T / samples
-    K_grad = ((dfeat * a**2) @ dfeat.T / samples) * inner
+    K_grad = ((dfeat * a**2) @ dfeat.T / samples) * (X @ X.T + 1.0)
     return K_rf, K_rf + K_grad
 
 
@@ -382,7 +376,6 @@ class NtkSandwich:
     lower_min: float            # min eig of K_ntk - K_rf
     stated_upper_min: float     # min eig of (1+a0^2) K_rf - K_ntk
     reversed_upper_min: float   # min eig of K_ntk - (1+a0^2) K_rf
-    offending_vector: Optional[np.ndarray]
 
     def tolerance(self) -> float:
         return -1e-8 * self.k_ntk.trace
@@ -418,33 +411,28 @@ def ntk_gram(points, a0: float, param_samples: int = 8192, seed: int = 0) -> Ntk
         raise KernelError("a0 must be positive")
     rng = spawn_rng(seed)
     K_rf, K_ntk = _ntk_gram_matrix(X, a0, param_samples, rng)
-    rf, ntk = _gram_result(K_rf, X), _gram_result(K_ntk, X)
-    lower_evals, lower_vecs = np.linalg.eigh(K_ntk - K_rf)
+    # eigh, not eigvalsh: the two differ in the last digit of lower_min
+    lower = np.linalg.eigh(K_ntk - K_rf)[0]
     stated = np.linalg.eigvalsh((1 + a0**2) * K_rf - K_ntk)
     reversed_ = np.linalg.eigvalsh(K_ntk - (1 + a0**2) * K_rf)
-    tol = -1e-8 * ntk.trace
-    offending = None
-    if lower_evals[0] < tol:
-        offending = lower_vecs[:, 0]
-    return NtkSandwich(k_rf=rf, k_ntk=ntk, a0=float(a0),
-                       lower_min=float(lower_evals[0]),
+    return NtkSandwich(k_rf=_gram_result(K_rf), k_ntk=_gram_result(K_ntk), a0=float(a0),
+                       lower_min=float(lower[0]),
                        stated_upper_min=float(stated[0]),
-                       reversed_upper_min=float(reversed_[0]),
-                       offending_vector=offending)
+                       reversed_upper_min=float(reversed_[0]))
 
 
 MAX_NYSTROM_POINTS = 5000
 
 
-def nystrom_spectrum(spec: KernelSpec, n: int, seed: int = 0,
-                     mc_samples: int = 8192) -> np.ndarray:
+def nystrom_spectrum(spec: KernelSpec, n: int, seed: int = 0) -> np.ndarray:
     """Nonincreasing eigenvalues of Gram/n on n uniform sphere samples.
 
     For the sphere random-feature kind the Gram realizes the scaled
     first-order zonal operator (closed form ``zonal_relu_scale(d) *
     relu(x.y)``), whose spectrum the eigenvalue tables follow; its top
     eigenvalues form plateaus of width ``multiplicity(d, k)``.  Other kinds
-    build their (positive semidefinite) feature kernels by Monte-Carlo.
+    build their (positive semidefinite) feature kernels from 8192 Monte-Carlo
+    feature draws.
     """
     if n < 1 or n > MAX_NYSTROM_POINTS:
         raise KernelError(f"n must lie in [1, {MAX_NYSTROM_POINTS}]")
@@ -457,12 +445,12 @@ def nystrom_spectrum(spec: KernelSpec, n: int, seed: int = 0,
     elif spec.kind == "ntk_relu":
         # unit inputs in R^d; the bias coordinate is appended internally
         X = uniform_sphere_points(n, spec.d - 1, rng)
-        _, K = _ntk_gram_matrix(X, spec.a0, mc_samples, rng)
+        _, K = _ntk_gram_matrix(X, spec.a0, 8192, rng)
     else:
         X = uniform_sphere_points(n, spec.d - 1, rng)
-        feats, _ = _feature_matrix(spec, X, mc_samples, rng)
-        K = feats @ feats.T / mc_samples
-    return _gram_result(K / n, X).eigenvalues
+        feats = _feature_matrix(spec, X, 8192, rng)
+        K = feats @ feats.T / 8192
+    return _gram_result(K / n).eigenvalues
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .util import fit_loglog, midpoint_grid, spawn_rng
+from .util import as_points, fit_loglog, midpoint_grid, spawn_rng
 
 __all__ = [
     "TransportError",
@@ -121,9 +121,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim == 1:
-            self.points = self.points.reshape(-1, 1)
+        self.points = as_points(self.points)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.points.shape[0] != self.weights.shape[0]:
             raise TransportError("points and weights must have equal length")
@@ -146,9 +144,7 @@ class DiscreteMeasure:
 
     @classmethod
     def empirical(cls, points) -> "DiscreteMeasure":
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(-1, 1)
+        points = as_points(points)
         n = points.shape[0]
         return cls(points, np.full(n, 1.0 / n))
 
@@ -217,13 +213,14 @@ def _restricted_lp(C, a, b, pairs):
 
 
 def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
-             metric: TorusMetricConfig = TORUS_LINF, max_rounds: int = 60) -> float:
+             metric: TorusMetricConfig = TORUS_LINF) -> float:
     """Optimal transport cost between two discrete measures, solved exactly.
 
     The transportation LP is solved on a sparse candidate arc set (nearest
     neighbours), then certified optimal against *all* arcs through the dual
     variables; violated arcs are added and the LP re-solved until the
-    reduced costs are clean.  The result equals the full LP's optimum.
+    reduced costs are clean, for at most 60 rounds.  The result equals the
+    full LP's optimum.
     """
     mu, nu = mu.drop_zero_atoms(), nu.drop_zero_atoms()
     if mu.dim != nu.dim:
@@ -235,7 +232,7 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     m, n = C.shape
     k_cols = n if m * n <= _DENSE_LIMIT else 6
     pairs = _initial_pairs(C, k_cols)
-    for _ in range(max_rounds):
+    for _ in range(60):
         lp = _restricted_lp(C, a, b, pairs)
         if lp.status != 0 or lp.eqlin is None or lp.eqlin.marginals is None:
             # restricted arc set infeasible or degenerate: densify and retry
@@ -309,10 +306,9 @@ class SinkhornResult:
 
 
 def sinkhorn_w1(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                metric: TorusMetricConfig = TORUS_LINF,
-                reg_final: float = 2e-3, scaling_steps: int = 8,
-                iters_per_scale: int = 300) -> SinkhornResult:
-    """Entropic approximation with regularization scaling, in the log domain.
+                metric: TorusMetricConfig = TORUS_LINF) -> SinkhornResult:
+    """Entropic approximation with regularization scaling, in the log domain:
+    300 sweeps at each of 8 geometrically spaced regularizations down to 2e-3.
 
     Always flagged approximate; intended for supports too large for the
     exact LP and never for verifying one-sided bounds.
@@ -324,9 +320,9 @@ def sinkhorn_w1(mu: DiscreteMeasure, nu: DiscreteMeasure,
     f = np.zeros(mu.size)
     g = np.zeros(nu.size)
     total_iters = 0
-    regs = np.geomspace(max(C.max(), reg_final), reg_final, scaling_steps)
+    regs = np.geomspace(max(C.max(), 2e-3), 2e-3, 8)
     for reg in regs:
-        for _ in range(iters_per_scale):
+        for _ in range(300):
             M = (-C + f[:, None] + g[None, :]) / reg
             f = f + reg * (la - _logsumexp_rows(M))
             M = (-C + f[:, None] + g[None, :]) / reg
@@ -438,9 +434,7 @@ def indicator_sum_l2(centers, epsilon: float,
     Equals ``n omega_d eps^d`` plus the sum of all pairwise intersection
     volumes; exact for the sup norm.
     """
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim == 1:
-        centers = centers.reshape(-1, 1)
+    centers = as_points(centers)
     if metric.norm != "ell_inf":
         raise TransportError("exact computation requires the sup norm")
     _check_ball_radius(epsilon, metric)
@@ -458,8 +452,7 @@ def default_gamma(d: int, metric: TorusMetricConfig = TORUS_LINF) -> float:
     factor, so the smoothed measure stays at least 3/4 of the covering
     bound away from the uniform measure.
     """
-    cov = d / (d + 1.0) * ((d + 1.0) * metric.unit_ball_volume(d)) ** (-1.0 / d)
-    return 0.25 * cov / metric.mean_ball_radius_factor(d)
+    return 0.25 * covering_lower_bound(1, d, metric) / metric.mean_ball_radius_factor(d)
 
 
 @dataclass
@@ -472,17 +465,13 @@ class SmoothedFunctional:
     metric: TorusMetricConfig = TORUS_LINF
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=float)
-        if self.centers.ndim == 1:
-            self.centers = self.centers.reshape(-1, 1)
+        self.centers = as_points(self.centers)
         _check_ball_radius(self.radius, self.metric)
 
     @classmethod
     def from_points(cls, centers, gamma: Optional[float] = None,
                     metric: TorusMetricConfig = TORUS_LINF) -> "SmoothedFunctional":
-        centers = np.asarray(centers, dtype=float)
-        if centers.ndim == 1:
-            centers = centers.reshape(-1, 1)
+        centers = as_points(centers)
         n, d = centers.shape
         g = default_gamma(d, metric) if gamma is None else float(gamma)
         return cls(centers=centers, radius=g * n ** (-1.0 / d), gamma=g, metric=metric)
@@ -520,9 +509,7 @@ def smoothed_apply(A: SmoothedFunctional, phi: Callable[[np.ndarray], np.ndarray
 def smoothing_l2_surrogate(centers, epsilon: float,
                            metric: TorusMetricConfig = TORUS_LINF) -> float:
     """Realized L2 operator-norm surrogate ``|sum 1_B|_2 / (n omega eps^d)``."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim == 1:
-        centers = centers.reshape(-1, 1)
+    centers = as_points(centers)
     n, d = centers.shape
     mass = n * metric.unit_ball_volume(d) * epsilon**d
     return float(math.sqrt(indicator_sum_l2(centers, epsilon, metric)) / mass)

@@ -19,6 +19,12 @@ def spawn_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def as_points(x) -> np.ndarray:
+    """``x`` as a float array of points; a 1-D array becomes one column."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(-1, 1) if x.ndim == 1 else x
+
+
 def midpoint_grid(d: int, res: int) -> np.ndarray:
     """Cell midpoints of the ``res^d`` grid on [0,1]^d, last coordinate fastest."""
     axis = (np.arange(res) + 0.5) / res

@@ -58,7 +58,6 @@ class TargetFunction:
     lipschitz: float
     d: int
     kind: str = "custom"
-    net: Optional[TwoLayerNetwork] = None
 
     @classmethod
     def distance_to_point_set(cls, points) -> "TargetFunction":
@@ -75,20 +74,21 @@ class TargetFunction:
     @classmethod
     def barron_explicit(cls, net: TwoLayerNetwork) -> "TargetFunction":
         return cls(fn=lambda X: net.evaluate(X), lipschitz=lipschitz_bound(net),
-                   d=net.dim, kind="barron_explicit", net=net)
+                   d=net.dim, kind="barron_explicit")
 
     @classmethod
     def custom(cls, fn, lipschitz_constant: float, d: int) -> "TargetFunction":
         return cls(fn=fn, lipschitz=float(lipschitz_constant), d=d, kind="custom")
 
-    def verify_lipschitz(self, seed: int = 0, pairs: int = 10_000, slack: float = 1e-9):
-        """Check the declared constant on random pairs; raise on violation."""
+    def verify_lipschitz(self, seed: int = 0):
+        """Check the declared constant on 10^4 random pairs, up to a 1e-9
+        slack; raise on violation."""
         rng = spawn_rng(seed)
-        X = rng.random((pairs, self.d))
-        Y = rng.random((pairs, self.d))
+        X = rng.random((10_000, self.d))
+        Y = rng.random((10_000, self.d))
         num = np.abs(np.asarray(self.fn(X)) - np.asarray(self.fn(Y)))
         den = np.max(np.abs(X - Y), axis=1)
-        ok = num <= self.lipschitz * den * (1 + slack) + slack
+        ok = num <= self.lipschitz * den * (1 + 1e-9) + 1e-9
         if not np.all(ok):
             worst = float(np.max(num / np.maximum(den, 1e-300)))
             raise TargetError(
@@ -152,12 +152,12 @@ def l2_error(net: TwoLayerNetwork, target: TargetFunction,
 class FitConfig:
     steps: int = 600
     restarts: int = 6
-    lr: float = 0.08
-    lr_floor: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     quadrature: tuple = ("mc", 2048)
     polish_iters: int = 300  # quasi-Newton sharpening of the best restart
+
+    def __post_init__(self):
+        if self.steps < 1 or self.restarts < 1:
+            raise TargetError("steps and restarts must be >= 1")
 
 
 def _relu_loss(a, W, b, X, y, grad=False):
@@ -242,13 +242,13 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _refit_outer(act: np.ndarray, y: np.ndarray, costs: np.ndarray, m: int,
-                 t: float, a0: np.ndarray, iters: int = 300) -> np.ndarray:
+                 t: float, a0: np.ndarray) -> np.ndarray:
     """Convex refit of the outer weights with the path-norm budget.
 
     With inner weights frozen, minimizing the quadratic loss subject to
     ``(1/m) sum c_i |a_i| <= t`` is least squares over a weighted l1 ball;
     substituting ``z_i = c_i a_i`` turns the constraint into a plain l1 ball
-    and the problem is solved by accelerated projected gradient.
+    and the problem is solved by 300 steps of accelerated projected gradient.
     """
     n = act.shape[0]
     keep = costs > 1e-12
@@ -269,7 +269,7 @@ def _refit_outer(act: np.ndarray, y: np.ndarray, costs: np.ndarray, m: int,
     z = _project_l1_ball(a0 * costs, radius)
     zp = z.copy()
     tk = 1.0
-    for _ in range(iters):
+    for _ in range(300):
         w = z + ((tk - 1) / (tk + 1)) * (z - zp)
         grad = 2.0 * (D.T @ (D @ w - y)) / n
         zp = z
@@ -281,13 +281,13 @@ def _refit_outer(act: np.ndarray, y: np.ndarray, costs: np.ndarray, m: int,
 
 
 def _adam_fit(target, t, width, config, X, y, rng) -> Tuple[TwoLayerNetwork, float]:
-    """One restart of projected Adam on the shared quadrature set."""
+    """One restart of projected Adam on the shared quadrature set, its step
+    size cosine-annealed from 0.08 to 1e-3."""
     net = _init_network(width, target.d, t, rng)
     a, W, b = net.outer.copy(), net.inner.copy(), net.bias.copy()
     state = [np.zeros_like(p) for p in (a, W, b)]
     state2 = [np.zeros_like(p) for p in (a, W, b)]
-    beta1, beta2 = config.adam_beta1, config.adam_beta2
-    eps = 1e-8
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     best_loss, best = np.inf, None
     for step in range(config.steps):
         loss, _, grads = _relu_loss(a, W, b, X, y, grad=True)
@@ -295,8 +295,7 @@ def _adam_fit(target, t, width, config, X, y, rng) -> Tuple[TwoLayerNetwork, flo
             raise OptimizationError("non-finite loss")
         if loss < best_loss:
             best_loss, best = loss, (a.copy(), W.copy(), b.copy())
-        lr = config.lr_floor + 0.5 * (config.lr - config.lr_floor) * (
-            1 + math.cos(math.pi * step / config.steps))
+        lr = 1e-3 + 0.5 * (0.08 - 1e-3) * (1 + math.cos(math.pi * step / config.steps))
         for p, g, m1, m2 in zip((a, W, b), grads, state, state2):
             m1 *= beta1
             m1 += (1 - beta1) * g
@@ -339,8 +338,8 @@ def fit_constrained(target: TargetFunction, t: float, width: int = 64,
     """
     if width < 1:
         raise TargetError("width must be >= 1")
-    if t < 0:
-        raise TargetError("budget t must be nonnegative")
+    if not math.isfinite(t) or t < 0:
+        raise TargetError(f"budget t must be finite and nonnegative, got {t}")
     config = config or FitConfig()
     quad_seed = seed if quad_seed is None else quad_seed
     X = _quadrature_points(config.quadrature, target.d, quad_seed)
@@ -394,9 +393,6 @@ class WidthCurve:
 
     def errors(self) -> np.ndarray:
         return np.array([p.error for p in self.samples])
-
-    def budgets(self) -> np.ndarray:
-        return np.array([p.t for p in self.samples])
 
 
 def rho_curve(target: TargetFunction, t_grid: Sequence[float], width: int = 64,

@@ -246,3 +246,62 @@ def test_int_flag_below_minimum_exits_2(sub, spec, tmp_path, capsys):
     assert "Traceback" not in err
     assert f"--{spec.name}" in err
     assert not (tmp_path / "results.csv").exists()
+
+
+_FLOAT_SPECS = [(sub, spec) for sub, specs in cli._SPECS.items() for spec in specs
+                if spec.parse in (float, cli._parse_float_list)]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("sub,spec", _FLOAT_SPECS,
+                         ids=[f"{sub}--{spec.name}" for sub, spec in _FLOAT_SPECS])
+def test_float_flag_not_finite_exits_2(sub, spec, bad, tmp_path, capsys):
+    """Every float flag, and every element of a float-list flag, must be
+    finite: nan and inf are rejected before any computation, with exit 2,
+    no traceback and the flag named."""
+    if spec.parse is cli._parse_float_list:
+        bad = f"1,{bad}"
+    rc = cli.main([sub, *_REQUIRED_ARGV[sub], f"--{spec.name}", bad,
+                   "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert f"--{spec.name}" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the configuration should be rejected before computing")
+
+
+@pytest.mark.parametrize("flag,bad", [("threads", 0), ("threads", -3), ("seed", -3)])
+def test_run_setting_below_minimum_exits_2(flag, bad, monkeypatch, tmp_path, capsys):
+    """--threads below 1 and --seed below 0 are rejected from a flag and from
+    a config file, before any trial runs, so no worker thread is ever started."""
+    monkeypatch.setattr(cli.transport, "empirical_w1_rate", _never_called)
+    argv = ["transport", "--d", "2", "--n-list", "4,8", "--trials", "1", "--grid", "4"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "transport", flag: bad}))
+    for extra in ([f"--{flag}", str(bad)], ["--config", str(cfg)]):
+        rc = cli.main([*argv, *extra, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert f"--{flag}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["transport", "--d", "2", "--n-list", "4"],
+                                  ["transport", "--d", "2", "--n-list", "8,8"],
+                                  ["barron", "--n-list", "16"]])
+def test_n_list_needs_two_distinct_sizes(argv, monkeypatch, tmp_path, capsys):
+    """A rate fit needs two sizes; fewer exits 2 naming --n-list before any
+    exact solve or ascent runs."""
+    monkeypatch.setattr(cli.transport, "empirical_w1_rate", _never_called)
+    monkeypatch.setattr(cli.barron, "rademacher_estimate", _never_called)
+    rc = cli.main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "--n-list" in err
+    assert not (tmp_path / "results.csv").exists()

@@ -174,6 +174,17 @@ class TestFitConstrained:
         res = fit_constrained(target, t=3.0, width=24, config=cfg, seed=3)
         assert res.error <= 1e-3
 
+    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"restarts": 0}, {"steps": -2}])
+    def test_config_without_steps_or_restarts_rejected(self, kwargs):
+        with pytest.raises(TargetError, match="steps and restarts"):
+            FitConfig(**kwargs)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, t):
+        target = TargetFunction.custom(lambda X: X[:, 0], 1.0, 1)
+        with pytest.raises(TargetError, match="finite"):
+            fit_constrained(target, t=t, width=4, config=FAST, seed=0)
+
 
 class TestRhoCurve:
     def test_monotone_by_construction(self):
