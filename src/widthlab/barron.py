@@ -27,7 +27,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 from scipy import integrate
 
-from .util import as_points, spawn_rng
+from .util import OptimizationError, as_points, spawn_rng
 
 __all__ = [
     "ActivationSpec",
@@ -48,10 +48,6 @@ __all__ = [
     "mc_integration_gap",
     "GapReport",
 ]
-
-
-class OptimizationError(RuntimeError):
-    """Raised when every restart of an inner optimizer produced junk."""
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, barron, kernels, separation, transport, widthprobe
 from .svg import loglog_plot_svg
-from .util import fit_loglog, fmt_float, spawn_rng
+from .util import OptimizationError, fit_loglog, fmt_float, spawn_rng
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,7 +34,7 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
     kernels.QuadratureError,
-    barron.OptimizationError,
+    OptimizationError,
     np.linalg.LinAlgError,
     FloatingPointError,
 )
@@ -204,6 +204,11 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
         file_out = payload.get("output_dir")
         file_plots = payload.get("emit_plots")
         file_threads = payload.get("threads")
+        if file_out is not None and not isinstance(file_out, str):
+            raise ValueError(f"output_dir in the config file must be a string, got {file_out!r}")
+        if file_plots is not None and not isinstance(file_plots, bool):
+            raise ValueError(
+                f"emit_plots in the config file must be true or false, got {file_plots!r}")
     for key, val in cli_params.items():
         if val is not None:
             resolved[key] = val
@@ -291,10 +296,15 @@ def _run_schedule(cfg: RunConfig) -> RunOutput:
                              "m_rounded"], rows=rows, summary=summary)
 
 
+def _check_rate_sizes(sizes: List[int]):
+    """A rate fit needs two sizes or more, each solved once."""
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ValueError(f"--n-list needs at least two sizes, none repeated, got {sizes}")
+
+
 def _run_transport(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
-    if len(set(p["n-list"])) < 2:
-        raise ValueError(f"--n-list needs at least two distinct sizes, got {p['n-list']}")
+    _check_rate_sizes(p["n-list"])
     metric = transport.TorusMetricConfig(norm=p["norm"], periodic=p["periodic"])
     report = transport.empirical_w1_rate(
         d=p["d"], n_values=p["n-list"], trials=p["trials"],
@@ -320,8 +330,7 @@ def _run_transport(cfg: RunConfig) -> RunOutput:
 def _run_barron(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
     if p["mode"] == "rademacher":
-        if len(set(p["n-list"])) < 2:
-            raise ValueError(f"--n-list needs at least two distinct sizes, got {p['n-list']}")
+        _check_rate_sizes(p["n-list"])
         d = p["d"]
         rows = []
         means = {}

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .util import as_points, fit_loglog, midpoint_grid, spawn_rng
+from .util import OptimizationError, as_points, fit_loglog, midpoint_grid, spawn_rng
 
 __all__ = [
     "TransportError",
@@ -171,11 +171,16 @@ class DiscreteMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Exact W1 (restricted LP with dual certificate, columns added on demand)
+# Exact W1 (coarse-to-fine restricted LPs with a dual certificate)
 # ---------------------------------------------------------------------------
 
 _REDUCED_COST_TOL = 1e-11
 _DENSE_LIMIT = 50_000  # solve the full LP outright below this many pairs
+_MULTISCALE_MIN_ATOMS = 1024  # smaller measures are solved at their own scale only
+_COARSEST_CELLS = 256  # the coarsest level is the finest dyadic grid with this many cells
+_WARM_SLACK = 0.5  # warm arcs: reduced cost at most this many coarse cell spacings
+_CURVE_BITS = 16  # per-axis resolution of the space-filling curve
+_STALL_SCALE = 2.0**10  # exact in binary, so scaled costs and values stay exact
 
 
 def _initial_pairs(C: np.ndarray, k_cols: int) -> np.ndarray:
@@ -194,10 +199,85 @@ def _initial_pairs(C: np.ndarray, k_cols: int) -> np.ndarray:
         near = np.argpartition(C, kth=k_rows - 1, axis=0)[:k_rows, :]
     rows = np.concatenate([rows, near.ravel()])
     cols = np.concatenate([cols, np.tile(np.arange(n), near.shape[0])])
-    return np.unique(np.stack([rows, cols], axis=1), axis=0)
+    return np.stack([rows, cols], axis=1)
 
 
-def _restricted_lp(C, a, b, pairs):
+def _hilbert_order(points: np.ndarray) -> np.ndarray:
+    """Indices sorting the points along a Hilbert curve through [0,1)^d
+    (Skilling's transpose form, vectorised over the points)."""
+    d = points.shape[1]
+    X = np.minimum((points * (1 << _CURVE_BITS)).astype(np.int64), (1 << _CURVE_BITS) - 1)
+    q = 1 << (_CURVE_BITS - 1)
+    while q > 1:
+        p = q - 1
+        for i in range(d):
+            hit = (X[:, i] & q) != 0
+            t = np.where(hit, p, (X[:, 0] ^ X[:, i]) & p)
+            X[:, 0] ^= t
+            X[:, i] ^= np.where(hit, 0, t)
+        q >>= 1
+    for i in range(1, d):
+        X[:, i] ^= X[:, i - 1]
+    t = np.zeros(len(X), dtype=np.int64)
+    q = 1 << (_CURVE_BITS - 1)
+    while q > 1:
+        t ^= np.where((X[:, -1] & q) != 0, q - 1, 0)
+        q >>= 1
+    X ^= t[:, None]
+    # the curve index interleaves the transposed bits, most significant first
+    bits = [(X[:, i] >> k) & 1 for k in range(_CURVE_BITS) for i in reversed(range(d))]
+    return np.lexsort(bits)
+
+
+def _north_west_pairs(a, b, order_a, order_b) -> np.ndarray:
+    """Support of the north-west-corner plan with both measures in the given
+    orders: every pair whose cumulative-mass intervals meet, within 1e-12 so
+    that rounding in the sums never drops an arc.  It carries a plan meeting
+    both margins, so a restricted LP containing it is feasible, whatever the
+    orders; orders along a space-filling curve keep its arcs short."""
+    hi_a, hi_b = np.cumsum(a[order_a]), np.cumsum(b[order_b])
+    lo_a, lo_b = hi_a - a[order_a], hi_b - b[order_b]
+    first = np.minimum(np.searchsorted(hi_b, lo_a - 1e-12), len(b) - 1)
+    last = np.maximum(np.searchsorted(lo_b, hi_a + 1e-12, side="right") - 1, first)
+    counts = last - first + 1
+    rows = np.repeat(np.arange(len(a)), counts)
+    cols = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return np.stack([order_a[rows], order_b[cols]], axis=1)
+
+
+def _warm_pairs(C, v, slack) -> np.ndarray:
+    """Arcs within ``slack`` of tight for the column duals ``v`` and their
+    c-transform ``u_i = min_j (C_ij - v_j)``, which make every reduced cost
+    nonnegative."""
+    reduced = C - v[None, :]
+    reduced -= reduced.min(axis=1, keepdims=True)
+    return np.argwhere(reduced <= slack)
+
+
+def _levels(points: np.ndarray, weights: np.ndarray):
+    """Coarse-to-fine copies of a measure as ``(points, weights, spacing)``.
+
+    Each coarse copy snaps the atoms to a dyadic cell grid and sums their
+    masses at the cell centres (so a midpoint grid coarsens to a midpoint
+    grid); spacing is the cell width.  Each level has about four times the
+    cells of the one before, a cell grid serves only while it has at most a
+    quarter as many cells as the measure has atoms, and the last level is the
+    measure itself, whose atoms stand for themselves (spacing 0).
+    """
+    m, d = points.shape
+    level, step = (_COARSEST_CELLS.bit_length() - 1) // d, max(1, 2 // d)
+    out = []
+    while m >= _MULTISCALE_MIN_ATOMS and level >= 1 and 4 << (level * d) <= m:
+        k = 1 << level
+        cells = np.minimum((points * k).astype(np.int64), k - 1)
+        cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+        out.append(((cells + 0.5) / k, np.bincount(inverse.ravel(), weights=weights), 1.0 / k))
+        level += step
+    out.append((points, weights, 0.0))
+    return out
+
+
+def _restricted_lp(C, a, b, pairs, scale):
     m, n = C.shape
     r, c = pairs[:, 0], pairs[:, 1]
     nv = len(r)
@@ -209,50 +289,86 @@ def _restricted_lp(C, a, b, pairs):
     rhs = np.concatenate([a, b])
     # one constraint is redundant (both margins sum to 1); drop it to keep
     # the equality system full rank, its dual is pinned to zero
-    return linprog(C[r, c], A_eq=A[:-1, :], b_eq=rhs[:-1], bounds=(0, None), method="highs")
+    return linprog(C[r, c] * scale, A_eq=A[:-1, :], b_eq=rhs[:-1], bounds=(0, None),
+                   method="highs")
+
+
+def _column_generation(C, a, b, pairs):
+    """Optimal cost and column duals ``v`` of the transport LP with cost C.
+
+    Solves the LP restricted to ``pairs`` and checks its duals against every
+    arc; arcs with negative reduced cost are added and the LP re-solved until
+    none is left, for at most 60 rounds.
+
+    HiGHS stops once its duals are feasible to 1e-7, far above
+    ``_REDUCED_COST_TOL``, so a violated arc may already be in the LP.  When
+    a round adds no arc, the LP is re-solved with its costs scaled by
+    ``_STALL_SCALE``, which tightens HiGHS's tolerance by the same factor.
+    """
+    m, n = C.shape
+    pairs = np.unique(pairs, axis=0)
+    scale = 1.0
+    for _ in range(60):
+        lp = _restricted_lp(C, a, b, pairs, scale)
+        if lp.status != 0 or lp.eqlin is None or lp.eqlin.marginals is None:
+            raise OptimizationError(f"transport LP failed: {lp.message}")
+        duals = lp.eqlin.marginals / scale
+        u = duals[:m]
+        v = np.concatenate([duals[m:], [0.0]])
+        reduced = C - u[:, None] - v[None, :]
+        vi, vj = np.nonzero(reduced < -_REDUCED_COST_TOL)
+        if vi.size == 0:
+            return float(lp.fun) / scale, v
+        if vi.size > 20_000:
+            worst = np.argsort(reduced[vi, vj])[:20_000]
+            vi, vj = vi[worst], vj[worst]
+        grown = np.unique(np.concatenate([pairs, np.stack([vi, vj], axis=1)]), axis=0)
+        if len(grown) == len(pairs):
+            scale *= _STALL_SCALE
+        pairs = grown
+    raise OptimizationError("column generation did not certify optimality")
 
 
 def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
              metric: TorusMetricConfig = TORUS_LINF) -> float:
     """Optimal transport cost between two discrete measures, solved exactly.
 
-    The transportation LP is solved on a sparse candidate arc set (nearest
-    neighbours), then certified optimal against *all* arcs through the dual
-    variables; violated arcs are added and the LP re-solved until the
-    reduced costs are clean, for at most 60 rounds.  The result equals the
-    full LP's optimum.
+    The larger measure is solved coarse to fine.  From 1,024 atoms up (in at
+    most eight dimensions) its atoms are snapped to dyadic cell grids, the
+    coarsest with at most 256 cells and each next one with about four times
+    as many, and their masses summed; the last level is the measure itself.
+    The smaller measure is the same at every level.  The coarsest level
+    starts from nearest-neighbour arcs (all arcs below 50,000 pairs).  Each
+    finer level keeps the column duals ``v`` of the one before, sets the row
+    duals to their c-transform ``u_i = min_j (C_ij - v_j)`` and starts from
+    the arcs whose reduced cost is at most half a coarse cell spacing.
+    Every level also starts from the support of a north-west-corner plan
+    along a Hilbert curve, so no restricted LP is infeasible.
+
+    At each level the LP on the current arcs is certified optimal against
+    *all* arcs through its duals; violated arcs are added and the LP
+    re-solved until the reduced costs are clean.  The result equals the
+    full LP's optimum.  Raises :class:`~widthlab.util.OptimizationError`
+    when HiGHS fails or 60 rounds do not certify a level.
     """
     mu, nu = mu.drop_zero_atoms(), nu.drop_zero_atoms()
     if mu.dim != nu.dim:
         raise TransportError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     swap = mu.size < nu.size
     big, small = (nu, mu) if swap else (mu, nu)
-    C = metric.pairwise(big.points, small.points)
-    a, b = big.weights, small.weights
-    m, n = C.shape
-    k_cols = n if m * n <= _DENSE_LIMIT else 6
-    pairs = _initial_pairs(C, k_cols)
-    for _ in range(60):
-        lp = _restricted_lp(C, a, b, pairs)
-        if lp.status != 0 or lp.eqlin is None or lp.eqlin.marginals is None:
-            # restricted arc set infeasible or degenerate: densify and retry
-            k_cols = min(max(2 * k_cols, 8), n)
-            pairs = np.unique(np.concatenate([pairs, _initial_pairs(C, k_cols)]), axis=0)
-            if k_cols == n and lp.status != 0:
-                raise TransportError(f"transport LP failed: {lp.message}")
-            continue
-        duals = lp.eqlin.marginals
-        u = duals[:m]
-        v = np.concatenate([duals[m:], [0.0]])
-        reduced = C - u[:, None] - v[None, :]
-        vi, vj = np.nonzero(reduced < -_REDUCED_COST_TOL)
-        if vi.size == 0:
-            return float(lp.fun)
-        if vi.size > 20_000:
-            worst = np.argsort(reduced[vi, vj])[:20_000]
-            vi, vj = vi[worst], vj[worst]
-        pairs = np.unique(np.concatenate([pairs, np.stack([vi, vj], axis=1)]), axis=0)
-    raise TransportError("column generation did not certify optimality")
+    b, n = small.weights, small.size
+    small_order = _hilbert_order(small.points)
+    v = None
+    for points, a, spacing in _levels(big.points, big.weights):
+        C = metric.pairwise(points, small.points)
+        if v is None:
+            pairs = _initial_pairs(C, n if len(a) * n <= _DENSE_LIMIT else 6)
+        else:
+            pairs = _warm_pairs(C, v, slack)
+        nw = _north_west_pairs(a, b, _hilbert_order(points), small_order)
+        value, v = _column_generation(C, a, b, np.concatenate([pairs, nw]))
+        slack = _WARM_SLACK * spacing
+    return value
 
 
 def w1_assignment_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,

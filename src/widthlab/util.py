@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic seeding, grids, slope fits, float formatting."""
+"""Shared utilities: deterministic seeding, grids, slope fits, float formatting,
+and the solver-failure exception."""
 
 from __future__ import annotations
 
@@ -6,6 +7,10 @@ import numpy as np
 
 #: Number of significant digits that round-trips float64 through text.
 FLOAT_DIGITS = 17
+
+
+class OptimizationError(RuntimeError):
+    """A numerical solver failed or could not certify its result."""
 
 
 def spawn_rng(master_seed: int, *key: int) -> np.random.Generator:

@@ -293,10 +293,12 @@ def test_run_setting_below_minimum_exits_2(flag, bad, monkeypatch, tmp_path, cap
 
 @pytest.mark.parametrize("argv", [["transport", "--d", "2", "--n-list", "4"],
                                   ["transport", "--d", "2", "--n-list", "8,8"],
-                                  ["barron", "--n-list", "16"]])
+                                  ["barron", "--n-list", "16"],
+                                  ["transport", "--d", "1", "--n-list", "4,4,8"],
+                                  ["barron", "--n-list", "4,4,8"]])
 def test_n_list_needs_two_distinct_sizes(argv, monkeypatch, tmp_path, capsys):
-    """A rate fit needs two sizes; fewer exits 2 naming --n-list before any
-    exact solve or ascent runs."""
+    """A rate fit needs two sizes, each once; fewer, or a repeated size,
+    exits 2 naming --n-list before any exact solve or ascent runs."""
     monkeypatch.setattr(cli.transport, "empirical_w1_rate", _never_called)
     monkeypatch.setattr(cli.barron, "rademacher_estimate", _never_called)
     rc = cli.main([*argv, "--out", str(tmp_path)])
@@ -304,4 +306,37 @@ def test_n_list_needs_two_distinct_sizes(argv, monkeypatch, tmp_path, capsys):
     assert rc == 2
     assert "Traceback" not in err
     assert "--n-list" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key,bad", [("emit_plots", "false"), ("emit_plots", 0),
+                                     ("output_dir", 7), ("output_dir", ["a"])])
+def test_config_file_run_settings_type_checked(key, bad, tmp_path, capsys):
+    """emit_plots must be a JSON boolean and output_dir a string: the string
+    "false" would otherwise turn plots on.  Anything else exits 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "schedule", key: bad}))
+    rc = cli.main(["schedule", "--alpha", "1.0", "--beta", "0.25", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_transport_lp_failure_exits_3(monkeypatch, tmp_path, capsys):
+    """A failed HiGHS solve is a numerical failure (exit 3), not an invalid
+    configuration."""
+    from types import SimpleNamespace
+
+    failed = SimpleNamespace(status=4, message="numerical difficulties", fun=None,
+                             eqlin=None)
+    monkeypatch.setattr(cli.transport, "linprog", lambda *a, **k: failed)
+    rc = cli.main(["transport", "--d", "1", "--n-list", "4,8", "--trials", "1",
+                   "--grid", "8", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "transport LP failed" in err
     assert not (tmp_path / "results.csv").exists()

@@ -340,16 +340,21 @@ class TestSpectrumAssembly:
             projection_tail_bound(spectrum, 9)
 
     def test_flattened_decay_exponent_d6(self):
-        """Flattened sequence decay for d=6 over indices [100, 10^4].
+        """Flattened sequence decay for d=6 at the proved -(d+3)/(2d) = -0.75.
 
-        The asymptotic exponent is -(d+3)/(2d) = -0.75 (closed form
-        k**-(d+3)/2 against cumulative multiplicity ~ k^d); over this finite
-        window the fitted slope is steeper, frozen here at -0.86.
+        Fits the plateau endpoints of the positive degrees 40..120: the
+        cumulative positive multiplicity up to degree k against lambda_k.
+        The local slope between consecutive endpoints rises from -0.782 at
+        degree 42 towards -0.75, and a least-squares slope is a
+        positive-weighted average of local slopes, so the fit lies within
+        0.035 of the target.
         """
-        spec = exact_spectrum(6, 30)
-        mu = spec.mu()
-        idx = np.arange(100, min(10_000, mu.size))
-        vals = mu[idx - 1]
-        keep = vals > 0
-        slope, _, _ = fit_loglog(idx[keep], vals[keep])
-        assert slope == pytest.approx(-0.86, abs=0.06)
+        counts, vals, cum = [], [], 0
+        for entry in exact_spectrum(6, 120).degrees:
+            if entry.value > 0:
+                cum += entry.mult
+                if entry.k >= 40:
+                    counts.append(cum)
+                    vals.append(entry.value)
+        slope, _, _ = fit_loglog(counts, vals)
+        assert slope == pytest.approx(-0.75, abs=0.035)

@@ -75,14 +75,19 @@ class TestW1Exact:
             w1_exact(mu, nu, TORUS_LINF), abs=1e-9)
 
     def test_against_assignment_oracle(self):
+        """The 8^2 grid is solved at its own scale; the 32^2 grid (1,024
+        atoms) through one coarse level of 16^2 cells first."""
         rng = np.random.default_rng(4)
-        grid = DiscreteMeasure.uniform_grid(2, 8)  # 64 atoms
-        for n in (4, 16):
-            emp = DiscreteMeasure.empirical(rng.random((n, 2)))
-            for metric in (CUBE_LINF, TORUS_LINF):
-                a = w1_exact(grid, emp, metric)
-                b = w1_assignment_oracle(grid, emp, metric)
-                assert a == pytest.approx(b, abs=1e-10)
+        cases = [(8, (4, 16), (CUBE_LINF, TORUS_LINF)),
+                 (32, (4, 16, 64), (CUBE_LINF, TORUS_LINF, TorusMetricConfig("ell_2", True)))]
+        for res, sizes, metrics in cases:
+            grid = DiscreteMeasure.uniform_grid(2, res)
+            for n in sizes:
+                emp = DiscreteMeasure.empirical(rng.random((n, 2)))
+                for metric in metrics:
+                    a = w1_exact(grid, emp, metric)
+                    b = w1_assignment_oracle(grid, emp, metric)
+                    assert a == pytest.approx(b, abs=1e-10)
 
     def test_against_1d_cdf_oracle(self):
         rng = np.random.default_rng(5)
@@ -91,6 +96,96 @@ class TestW1Exact:
             nu = random_measure(rng, rng.integers(2, 30), 1)
             assert w1_exact(mu, nu, CUBE_LINF) == pytest.approx(
                 w1_1d_cdf(mu, nu), abs=1e-10)
+
+    def test_coarsened_scattered_measure_against_1d_cdf(self):
+        """2,000 scattered atoms with random weights: the coarse level sums
+        the masses of the atoms sharing a cell, unlike on a grid."""
+        rng = np.random.default_rng(8)
+        big = random_measure(rng, 2000, 1)
+        for n in (5, 40):
+            small = random_measure(rng, n, 1)
+            assert w1_exact(big, small, CUBE_LINF) == pytest.approx(
+                w1_1d_cdf(big, small), abs=1e-10)
+
+    def test_north_west_support_is_feasible_in_any_order(self):
+        """The north-west-corner support holds a plan meeting both margins
+        whatever the orders: m+n-1 arcs for weights in general position, and
+        a few touching arcs more where cumulative masses tie."""
+        from widthlab.transport import _north_west_pairs, _restricted_lp
+
+        rng = np.random.default_rng(9)
+        for mu, nu, ties in ((random_measure(rng, 50, 2), random_measure(rng, 7, 2), False),
+                             (DiscreteMeasure.uniform_grid(2, 8),
+                              DiscreteMeasure.uniform_grid(2, 4), True)):
+            m, n = mu.size, nu.size
+            pairs = _north_west_pairs(mu.weights, nu.weights,
+                                      rng.permutation(m), rng.permutation(n))
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+            assert len(pairs) > m + n - 1 if ties else len(pairs) == m + n - 1
+            C = TORUS_LINF.pairwise(mu.points, nu.points)
+            assert _restricted_lp(C, mu.weights, nu.weights, pairs, 1.0).status == 0
+
+    def test_hilbert_order_steps_to_a_neighbouring_cell(self):
+        """Along the curve, consecutive grid cells share a face."""
+        from widthlab.transport import _hilbert_order
+        from widthlab.util import midpoint_grid
+
+        for d, res in ((1, 64), (2, 32), (3, 8)):
+            pts = midpoint_grid(d, res)
+            path = pts[_hilbert_order(pts)] * res
+            steps = np.abs(np.diff(path, axis=0)).sum(axis=1)
+            np.testing.assert_allclose(steps, 1.0)
+
+    def test_round_without_new_arcs_rescales_costs(self, monkeypatch):
+        """HiGHS accepts duals feasible to 1e-7, so a round can find its only
+        violated arcs already in the LP.  Faked here on a dense LP by lifting
+        one row dual by 1e-9: the LP is re-solved with its costs scaled by
+        2^10, and the value is the unscaled solve's."""
+        from types import SimpleNamespace
+
+        from widthlab import transport
+
+        rng = np.random.default_rng(10)
+        mu, nu = random_measure(rng, 6, 2), random_measure(rng, 5, 2)
+        expect = w1_exact(mu, nu)
+        costs = []
+        linprog = transport.linprog
+
+        def lifted_once(c, **kwargs):
+            res = linprog(c, **kwargs)
+            costs.append(c)
+            if len(costs) > 1:
+                return res
+            marginals = res.eqlin.marginals.copy()
+            marginals[0] += 1e-9
+            return SimpleNamespace(status=res.status, message=res.message, fun=res.fun,
+                                   eqlin=SimpleNamespace(marginals=marginals))
+
+        monkeypatch.setattr(transport, "linprog", lifted_once)
+        assert w1_exact(mu, nu) == expect
+        assert len(costs) == 2
+        np.testing.assert_array_equal(costs[1], costs[0] * 2.0**10)
+
+    def test_no_restricted_lp_is_infeasible(self, monkeypatch):
+        """Every restricted LP contains a north-west-corner plan, so none is
+        infeasible.  On this instance the nearest-neighbour arcs of the 64^2
+        grid alone (``_initial_pairs``) make an infeasible LP."""
+        from widthlab import transport
+        from widthlab.util import spawn_rng
+
+        statuses = []
+        linprog = transport.linprog
+
+        def counted(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(transport, "linprog", counted)
+        emp = DiscreteMeasure.empirical(spawn_rng(20240801, 256, 0).random((256, 2)))
+        w1 = w1_exact(DiscreteMeasure.uniform_grid(2, 64), emp, CUBE_LINF)
+        assert w1 >= covering_lower_bound(256, 2, CUBE_LINF) - 2 / 64
+        assert statuses and 2 not in statuses  # HiGHS status 2: infeasible
 
     def test_dimension_mismatch(self):
         with pytest.raises(TransportError):
