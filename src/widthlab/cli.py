@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,9 @@ _NUMERICAL_ERRORS = (
     kernels.QuadratureError,
     OptimizationError,
     np.linalg.LinAlgError,
-    FloatingPointError,
+    ArithmeticError,  # overflow, underflow to a zero divisor, FloatingPointError
 )
-_VALIDATION_ERRORS = (ValueError, KeyError, FileNotFoundError)
+_VALIDATION_ERRORS = (ValueError, KeyError, OSError)  # OSError: unreadable input files
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,8 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
     file_seed = file_out = file_plots = file_threads = None
     if config_path:
         payload = json.loads(Path(config_path).read_text())
+        if not isinstance(payload, dict) or not isinstance(payload.get("parameters", {}), dict):
+            raise ValueError("a config file must be a JSON object, and its parameters one too")
         if payload.get("subcommand", subcommand) != subcommand:
             raise ValueError(
                 f"config file is for subcommand {payload['subcommand']!r}, "
@@ -199,7 +202,10 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
         for key, val in payload.get("parameters", {}).items():
             if key not in byname:
                 raise ValueError(f"unknown parameter {key!r} in config file")
-            resolved[key] = byname[key].parse(val) if val is not None else None
+            try:
+                resolved[key] = byname[key].parse(val) if val is not None else None
+            except (TypeError, OverflowError) as exc:  # e.g. int(Infinity), float([1])
+                raise ValueError(f"--{key} in the config file: {exc}") from None
         file_seed = payload.get("seed")
         file_out = payload.get("output_dir")
         file_plots = payload.get("emit_plots")
@@ -231,7 +237,9 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
         seed=_run_setting("seed", seed, file_seed, 0),
         output_dir=out if out is not None else (file_out or "."),
         emit_plots=plots if plots is not None else bool(file_plots),
-        threads=_run_setting("threads", threads, file_threads, 1),
+        # more workers than cores only adds contention; the outputs do not
+        # depend on the count, so a rerun from the manifest matches anyway
+        threads=min(_run_setting("threads", threads, file_threads, 1), os.cpu_count() or 1),
     )
 
 

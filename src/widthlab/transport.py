@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs  # HiGHS's own binding, scipy >= 1.15
 
 from .util import OptimizationError, as_points, fit_loglog, midpoint_grid, spawn_rng
 
@@ -175,7 +175,6 @@ class DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 _REDUCED_COST_TOL = 1e-11
-_DENSE_LIMIT = 50_000  # solve the full LP outright below this many pairs
 _MULTISCALE_MIN_ATOMS = 1024  # smaller measures are solved at their own scale only
 _COARSEST_CELLS = 256  # the coarsest level is the finest dyadic grid with this many cells
 _WARM_SLACK = 0.5  # warm arcs: reduced cost at most this many coarse cell spacings
@@ -183,9 +182,9 @@ _CURVE_BITS = 16  # per-axis resolution of the space-filling curve
 _STALL_SCALE = 2.0**10  # exact in binary, so scaled costs and values stay exact
 
 
-def _initial_pairs(C: np.ndarray, k_cols: int) -> np.ndarray:
+def _initial_pairs(C: np.ndarray) -> np.ndarray:
     m, n = C.shape
-    k_cols = min(k_cols, n)
+    k_cols = min(6, n)
     if k_cols >= n:
         idx = np.tile(np.arange(n), (m, 1))
     else:
@@ -277,55 +276,102 @@ def _levels(points: np.ndarray, weights: np.ndarray):
     return out
 
 
-def _restricted_lp(C, a, b, pairs, scale):
-    m, n = C.shape
-    r, c = pairs[:, 0], pairs[:, 1]
-    nv = len(r)
-    ones = np.ones(nv)
-    A = sparse.vstack([
-        sparse.csr_matrix((ones, (r, np.arange(nv))), shape=(m, nv)),
-        sparse.csr_matrix((ones, (c, np.arange(nv))), shape=(n, nv)),
-    ]).tocsc()
-    rhs = np.concatenate([a, b])
-    # one constraint is redundant (both margins sum to 1); drop it to keep
-    # the equality system full rank, its dual is pinned to zero
-    return linprog(C[r, c] * scale, A_eq=A[:-1, :], b_eq=rhs[:-1], bounds=(0, None),
-                   method="highs")
+# scipy's status codes for HiGHS's model statuses; every other status is 4
+_STATUS = {highs.HighsModelStatus.kOptimal: 0, highs.HighsModelStatus.kTimeLimit: 1,
+           highs.HighsModelStatus.kIterationLimit: 1, highs.HighsModelStatus.kInfeasible: 2,
+           highs.HighsModelStatus.kUnbounded: 3}
+
+
+def _transport_model(a, b, arcs):
+    """HiGHS model of the transport LP between the margins ``a`` and ``b`` on
+    ``arcs`` (flat indices into the m x n cost matrix), all costs zero.
+
+    One margin constraint is redundant (both margins sum to 1); the last one
+    is dropped to keep the equality system full rank, so its dual is pinned
+    to zero.
+    """
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    rhs = np.concatenate([a, b[:-1]])
+    empty = np.zeros(0, dtype=np.int32)
+    model.addRows(len(rhs), rhs, rhs, 0, empty, empty, np.zeros(0))
+    _add_arcs(model, len(a), len(b), arcs)
+    return model
+
+
+def _add_arcs(model, m, n, arcs):
+    """Append one zero-cost column per arc: a 1 in its row margin and, unless
+    it ends in the dropped last column margin, a 1 in its column margin."""
+    rows, cols = np.divmod(arcs, n)
+    index = np.stack([rows, m + cols], axis=1)
+    keep = index < m + n - 1
+    counts = keep.sum(axis=1)
+    model.addCols(len(arcs), np.zeros(len(arcs)), np.zeros(len(arcs)),
+                  np.full(len(arcs), highs.kHighsInf), counts.sum(),
+                  (np.cumsum(counts) - counts).astype(np.int32),
+                  index[keep].astype(np.int32), np.ones(counts.sum()))
+
+
+def linprog(cost, *, model) -> OptimizeResult:
+    """Run HiGHS on ``model`` with ``cost`` as the costs of all its columns,
+    starting from the basis of the model's last run, if it had one.
+
+    Reports as scipy's ``linprog`` does: ``status`` (0 optimal, 1 limit,
+    2 infeasible, 3 unbounded, 4 other), ``message``, ``fun``, ``nit`` (the
+    simplex iterations of this run) and ``eqlin.marginals`` (the row duals);
+    ``fun`` and the duals are None unless the status is 0.
+    """
+    model.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
+    model.run()
+    status = model.getModelStatus()
+    info = model.getInfo()
+    res = OptimizeResult(status=_STATUS.get(status, 4), message=model.modelStatusToString(status),
+                         nit=info.simplex_iteration_count, fun=None,
+                         eqlin=OptimizeResult(marginals=None))
+    if res.status == 0:
+        res.fun = info.objective_function_value
+        res.eqlin.marginals = np.array(model.getSolution().row_dual)
+    return res
 
 
 def _column_generation(C, a, b, pairs):
     """Optimal cost and column duals ``v`` of the transport LP with cost C.
 
-    Solves the LP restricted to ``pairs`` and checks its duals against every
-    arc; arcs with negative reduced cost are added and the LP re-solved until
-    none is left, for at most 60 rounds.
+    Builds one HiGHS model on ``pairs`` and checks the duals of its optimum
+    against every arc.  Arcs with negative reduced cost that the model lacks
+    are appended as new columns, and HiGHS re-optimises from the basis it
+    holds; this repeats until no arc is violated, for at most 60 rounds.
 
     HiGHS stops once its duals are feasible to 1e-7, far above
-    ``_REDUCED_COST_TOL``, so a violated arc may already be in the LP.  When
-    a round adds no arc, the LP is re-solved with its costs scaled by
-    ``_STALL_SCALE``, which tightens HiGHS's tolerance by the same factor.
+    ``_REDUCED_COST_TOL``, so a violated arc may already be in the model.
+    When a round adds no arc, the model's costs are scaled by
+    ``_STALL_SCALE``, which tightens HiGHS's tolerance by the same factor,
+    and it re-optimises from the same basis.
     """
     m, n = C.shape
-    pairs = np.unique(pairs, axis=0)
+    arcs = np.unique(np.ravel_multi_index(pairs.T, C.shape))
+    model = _transport_model(a, b, arcs)
     scale = 1.0
     for _ in range(60):
-        lp = _restricted_lp(C, a, b, pairs, scale)
+        lp = linprog(np.take(C, arcs) * scale, model=model)
         if lp.status != 0 or lp.eqlin is None or lp.eqlin.marginals is None:
             raise OptimizationError(f"transport LP failed: {lp.message}")
         duals = lp.eqlin.marginals / scale
         u = duals[:m]
         v = np.concatenate([duals[m:], [0.0]])
-        reduced = C - u[:, None] - v[None, :]
-        vi, vj = np.nonzero(reduced < -_REDUCED_COST_TOL)
-        if vi.size == 0:
+        reduced = C - u[:, None]
+        reduced -= v  # in place: the model's memory is still held here
+        violated = np.flatnonzero(reduced < -_REDUCED_COST_TOL)
+        if violated.size == 0:
             return float(lp.fun) / scale, v
-        if vi.size > 20_000:
-            worst = np.argsort(reduced[vi, vj])[:20_000]
-            vi, vj = vi[worst], vj[worst]
-        grown = np.unique(np.concatenate([pairs, np.stack([vi, vj], axis=1)]), axis=0)
-        if len(grown) == len(pairs):
+        if violated.size > 20_000:
+            violated = violated[np.argsort(np.take(reduced, violated))[:20_000]]
+        new = np.setdiff1d(violated, arcs)
+        if new.size == 0:
             scale *= _STALL_SCALE
-        pairs = grown
+        else:
+            _add_arcs(model, m, n, new)
+            arcs = np.concatenate([arcs, new])
     raise OptimizationError("column generation did not certify optimality")
 
 
@@ -338,33 +384,32 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     coarsest with at most 256 cells and each next one with about four times
     as many, and their masses summed; the last level is the measure itself.
     The smaller measure is the same at every level.  The coarsest level
-    starts from nearest-neighbour arcs (all arcs below 50,000 pairs).  Each
-    finer level keeps the column duals ``v`` of the one before, sets the row
-    duals to their c-transform ``u_i = min_j (C_ij - v_j)`` and starts from
-    the arcs whose reduced cost is at most half a coarse cell spacing.
-    Every level also starts from the support of a north-west-corner plan
-    along a Hilbert curve, so no restricted LP is infeasible.
+    starts from the 6 nearest arcs of each row and the 8 nearest of each
+    column.  Each finer level keeps the column duals ``v`` of the one
+    before, sets the row duals to their c-transform
+    ``u_i = min_j (C_ij - v_j)`` and starts from the arcs whose reduced cost
+    is at most half a coarse cell spacing.  Every level also starts from the
+    support of a north-west-corner plan along a Hilbert curve, so no
+    restricted LP is infeasible.
 
-    At each level the LP on the current arcs is certified optimal against
-    *all* arcs through its duals; violated arcs are added and the LP
-    re-solved until the reduced costs are clean.  The result equals the
-    full LP's optimum.  Raises :class:`~widthlab.util.OptimizationError`
-    when HiGHS fails or 60 rounds do not certify a level.
+    Each level is one HiGHS model, solved by column generation: its optimum
+    is certified against *all* arcs through its duals, and violated arcs are
+    appended and re-optimised from the last optimal basis until the reduced
+    costs are clean.  The result equals the full LP's optimum.  Raises
+    :class:`~widthlab.util.OptimizationError` when HiGHS fails or 60 rounds
+    do not certify a level.
     """
     mu, nu = mu.drop_zero_atoms(), nu.drop_zero_atoms()
     if mu.dim != nu.dim:
         raise TransportError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     swap = mu.size < nu.size
     big, small = (nu, mu) if swap else (mu, nu)
-    b, n = small.weights, small.size
+    b = small.weights
     small_order = _hilbert_order(small.points)
     v = None
     for points, a, spacing in _levels(big.points, big.weights):
         C = metric.pairwise(points, small.points)
-        if v is None:
-            pairs = _initial_pairs(C, n if len(a) * n <= _DENSE_LIMIT else 6)
-        else:
-            pairs = _warm_pairs(C, v, slack)
+        pairs = _initial_pairs(C) if v is None else _warm_pairs(C, v, slack)
         nw = _north_west_pairs(a, b, _hilbert_order(points), small_order)
         value, v = _column_generation(C, a, b, np.concatenate([pairs, nw]))
         slack = _WARM_SLACK * spacing

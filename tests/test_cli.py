@@ -1,9 +1,14 @@
 """CLI contract: exit codes, determinism, manifests, file formats."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import cli
 from widthlab.barron import RELU, TwoLayerNetwork
@@ -325,6 +330,20 @@ def test_config_file_run_settings_type_checked(key, bad, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload", ["[1]", '"x"', '{"parameters": [1]}'])
+def test_config_file_not_an_object_exits_2(payload, tmp_path, capsys):
+    """A config file holding JSON other than an object (or parameters other
+    than an object) used to raise AttributeError with a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(payload)
+    rc = cli.main(["schedule", "--alpha", "1.0", "--beta", "0.25", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_transport_lp_failure_exits_3(monkeypatch, tmp_path, capsys):
     """A failed HiGHS solve is a numerical failure (exit 3), not an invalid
     configuration."""
@@ -340,3 +359,116 @@ def test_transport_lp_failure_exits_3(monkeypatch, tmp_path, capsys):
     assert "Traceback" not in err
     assert "transport LP failed" in err
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("requested,cores,expect", [(8, 2, 2), (2, 4, 2), (3, None, 1)])
+def test_threads_clamped_to_cpu_count(requested, cores, expect, monkeypatch, tmp_path):
+    """--threads is cut to the machine's core count when the configuration is
+    resolved, from a flag or a config file, and the manifest records the cut
+    count.  No trial runs, so no worker thread is ever started."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli.transport, "empirical_w1_rate", _never_called)
+    params = {"d": 2, "n-list": [4, 8]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "transport", "threads": requested}))
+    for resolved in (cli.resolve_config("transport", params, None, None, None, None, requested),
+                     cli.resolve_config("transport", params, str(cfg), None, None, None, None)):
+        assert resolved.threads == expect
+        assert resolved.manifest()["threads"] == expect
+
+
+@pytest.mark.parametrize("argv", [["barron", "--mode", "network"],
+                                  ["width", "--t-grid", "1", "--target", "barron"]])
+def test_network_path_that_is_a_directory_exits_2(argv, tmp_path, capsys):
+    """An unreadable --network file is an invalid configuration, whatever
+    the OS error: a directory used to raise IsADirectoryError (exit 1)."""
+    rc = cli.main([*argv, "--network", str(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+class _Accepted(Exception):
+    """Raised by the stubbed solvers: the configuration passed every check."""
+
+
+def _accepted(*args, **kwargs):
+    raise _Accepted
+
+
+_SOLVERS = [(cli.transport, "empirical_w1_rate"), (cli.barron, "rademacher_estimate"),
+            (cli.kernels, "exact_spectrum"), (cli.kernels, "nystrom_spectrum"),
+            (cli.kernels, "ntk_gram"), (cli.kernels, "mc_kernel"),
+            (cli.kernels, "uniform_sphere_points"), (cli.widthprobe, "rho_curve")]
+# valid required values per subcommand, which the drawn values then override
+_VALID = {sub: dict(zip((flag[2:] for flag in argv[::2]), argv[1::2]))
+          for sub, argv in _REQUIRED_ARGV.items()}
+_VALID["transport"]["n-list"] = "4,8"
+
+
+# values that select other code paths: the string flags' choices, and a
+# directory where a network file is expected
+_WORDS = ["ell_2", "network", "ntk_relu", "random_feature_relu_gaussian", "absdist",
+          "barron", ".", ""]
+
+
+def _drawn_value(spec):
+    """Ints from below the flag's minimum, bounded floats with nan and the
+    infinities, short strings, and lists of them for list flags.  Magnitudes
+    stay small because the unstubbed code sizes arrays by some flags."""
+    low = (spec.minimum or 0) - 3
+    scalar = st.one_of(st.integers(low, low + 43), st.floats(-1e3, 1e3),
+                       st.sampled_from([math.nan, math.inf, -math.inf, *_WORDS]),
+                       st.text(max_size=8))
+    if spec.parse in (cli._parse_int_list, cli._parse_float_list):
+        return scalar | st.lists(scalar, min_size=1, max_size=4)
+    return scalar
+
+
+@st.composite
+def _configurations(draw):
+    sub = draw(st.sampled_from(sorted(cli._SPECS)))
+    specs = cli._SPECS[sub]
+    names = draw(st.lists(st.sampled_from([s.name for s in specs]), max_size=3, unique=True))
+    byname = {s.name: s for s in specs}
+    params = dict(_VALID[sub])
+    params.update({name: draw(_drawn_value(byname[name])) for name in names})
+    return sub, params, draw(st.booleans())
+
+
+def _flag_text(value):
+    if isinstance(value, list):
+        return ",".join(map(_flag_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_exit_code_contract_fuzzed(tmp_path):
+    """Whatever ints, floats or strings the flags receive, as flags or from a
+    config file, the CLI exits 0, 2 or 3 and prints no traceback.  The
+    solvers are stubbed; reaching one counts as an accepted configuration."""
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_configurations())
+    def check(case):
+        sub, params, from_file = case
+        if from_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"subcommand": sub, "parameters": params}))
+            argv = [sub, "--config", str(cfg)]
+        else:
+            argv = [sub, *(f"--{name}={_flag_text(v)}" for name, v in params.items())]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+            except SystemExit as exc:  # argparse rejected a flag value
+                rc = exc.code
+            except _Accepted:
+                rc = 0
+        assert rc in (0, 2, 3), (argv, params, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, attr in _SOLVERS:
+            patch.setattr(owner, attr, _accepted)
+        check()

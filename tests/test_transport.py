@@ -111,7 +111,7 @@ class TestW1Exact:
         """The north-west-corner support holds a plan meeting both margins
         whatever the orders: m+n-1 arcs for weights in general position, and
         a few touching arcs more where cumulative masses tie."""
-        from widthlab.transport import _north_west_pairs, _restricted_lp
+        from widthlab.transport import _north_west_pairs, _transport_model, linprog
 
         rng = np.random.default_rng(9)
         for mu, nu, ties in ((random_measure(rng, 50, 2), random_measure(rng, 7, 2), False),
@@ -123,7 +123,9 @@ class TestW1Exact:
             assert len(np.unique(pairs, axis=0)) == len(pairs)
             assert len(pairs) > m + n - 1 if ties else len(pairs) == m + n - 1
             C = TORUS_LINF.pairwise(mu.points, nu.points)
-            assert _restricted_lp(C, mu.weights, nu.weights, pairs, 1.0).status == 0
+            arcs = np.ravel_multi_index(pairs.T, C.shape)
+            model = _transport_model(mu.weights, nu.weights, arcs)
+            assert linprog(np.take(C, arcs), model=model).status == 0
 
     def test_hilbert_order_steps_to_a_neighbouring_cell(self):
         """Along the curve, consecutive grid cells share a face."""
@@ -187,6 +189,46 @@ class TestW1Exact:
         assert w1 >= covering_lower_bound(256, 2, CUBE_LINF) - 2 / 64
         assert statuses and 2 not in statuses  # HiGHS status 2: infeasible
 
+    @pytest.mark.parametrize("metric", [CUBE_LINF, TORUS_LINF, TorusMetricConfig("ell_2", True)],
+                             ids=["cube-linf", "torus-linf", "torus-l2"])
+    @pytest.mark.parametrize("m,n", [(60, 12), (200, 9)])
+    def test_warm_model_from_north_west_support_matches_dense_lp(self, m, n, metric,
+                                                                 monkeypatch):
+        """Started from a north-west-corner support alone, in random orders,
+        the one model per level gains arcs over several rounds.  Its value
+        must match a dense ``scipy.optimize.linprog`` solve over every arc,
+        and so must the dual bound ``a.u + b.v`` of its column duals and
+        their c-transform."""
+        from scipy import sparse
+        from scipy.optimize import linprog as dense_linprog
+
+        from widthlab import transport
+
+        rng = np.random.default_rng(m + n)
+        mu, nu = random_measure(rng, m, 2), random_measure(rng, n, 2)
+        a, b = mu.weights, nu.weights
+        C = metric.pairwise(mu.points, nu.points)
+        pairs = transport._north_west_pairs(a, b, rng.permutation(m), rng.permutation(n))
+        columns = []
+        linprog = transport.linprog
+
+        def counted(cost, **kwargs):
+            columns.append(len(cost))
+            return linprog(cost, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", counted)
+        value, v = transport._column_generation(C, a, b, pairs)
+        assert columns[0] == m + n - 1  # weights in general position
+        assert len(columns) >= 3 and columns[-1] > columns[0]
+
+        margins = sparse.vstack([sparse.kron(sparse.eye(m), np.ones((1, n))),
+                                 sparse.kron(np.ones((1, m)), sparse.eye(n))])
+        dense = dense_linprog(C.ravel(), A_eq=margins, b_eq=np.concatenate([a, b]),
+                              bounds=(0, None), method="highs")
+        assert dense.status == 0
+        assert value == pytest.approx(dense.fun, abs=1e-12)
+        assert a @ (C - v).min(axis=1) + b @ v == pytest.approx(dense.fun, abs=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(TransportError):
             w1_exact(DiscreteMeasure.dirac([0.5]), DiscreteMeasure.dirac([0.5, 0.5]))
@@ -196,6 +238,35 @@ class TestW1Exact:
             DiscreteMeasure(np.array([[0.5]]), np.array([0.9]))
         with pytest.raises(TransportError):
             DiscreteMeasure(np.zeros((0, 1)), np.zeros(0))
+
+
+def test_perfbench_tracer_sees_every_lp(monkeypatch):
+    """perfbench's traced worker wraps ``transport.linprog`` by attribute,
+    reads ``len(args[0])``, ``status`` and ``nit`` from every call and
+    writes the ``w1_exact`` values as JSON.  A 32^2 grid (one coarse
+    level) under its tracer must feed every LP counter and give a float."""
+    import json
+    from pathlib import Path
+
+    from widthlab import transport
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracing.prepare(tracer)
+    tracer.enable()
+    try:
+        emp = DiscreteMeasure.empirical(np.random.default_rng(12).random((16, 2)))
+        value = transport.w1_exact(DiscreteMeasure.uniform_grid(2, 32), emp, CUBE_LINF)
+    finally:
+        tracer.disable()
+    counts = tracer.summary()[2]
+    assert counts["transport.lp.calls"] >= 2
+    assert counts["transport.lp.arcs"] > 0 and counts["transport.lp.simplex_iters"] > 0
+    assert counts["transport.lp.infeasible"] == 0
+    assert type(value) is float
+    json.dumps(value)
 
 
 class TestSinkhorn:
