@@ -8,8 +8,7 @@ Subpackages by topic:
   the unit cube / flat torus, ball-covering lower bounds, and smoothed
   evaluation functionals.
 - ``barron``: finite two-layer networks, path norms, Rademacher-complexity
-  estimation, Fourier integrability criteria, and the 1D second-derivative
-  norm.
+  estimation, and the 1D second-derivative norm.
 - ``kernels``: spherical random-feature and neural-tangent kernels, exact
   spectra with multiplicities, Funk-Hecke quadrature oracle, Nystrom spectra.
 - ``widthprobe``: best constrained L2 approximation of Lipschitz targets by

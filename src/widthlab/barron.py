@@ -7,11 +7,10 @@ is ``(1/m) sum |a_i| (|w_i|_q + off(b_i))`` where the offset term is ``|b|``
 for relu and ``1`` for the bounded sigmoidal tanh.  The path norm is the
 complexity proxy that drives every bound in this module:
 
-- Rademacher complexity of the unit path-norm ball is estimated empirically
-  (supremum over signed normalized single neurons, the extreme points of the
-  ball) and compared against the closed form ``2 L sqrt(2 log(2d) / n)``.
-- Functions with integrable ``|fhat(xi)| |xi|`` admit network representations;
-  ``fourier_barron_bound`` evaluates that integral.
+- Rademacher complexity of the unit relu path-norm ball is estimated
+  empirically (supremum over signed normalized single neurons, the extreme
+  points of the ball) and compared against the closed form
+  ``2 sqrt(2 log(2d) / n)``.
 - On ``[0,1]`` the representation cost is equivalent to
   ``|f(0)| + |f'(0)| + total variation of f'``; ``bv_norm_1d`` computes it
   and ``canonical_network_1d`` materializes the witnessing network.
@@ -20,12 +19,9 @@ complexity proxy that drives every bound in this module:
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .util import OptimizationError, as_points, spawn_rng
 
@@ -37,16 +33,9 @@ __all__ = [
     "rademacher_bound",
     "rademacher_estimate",
     "RademacherEstimate",
-    "FourierData",
-    "FourierBound",
-    "fourier_barron_bound",
     "PiecewiseLinear1D",
     "bv_norm_1d",
     "canonical_network_1d",
-    "relu_net_integral_1d",
-    "sample_unit_path_norm_networks",
-    "mc_integration_gap",
-    "GapReport",
 ]
 
 
@@ -82,12 +71,6 @@ class ActivationSpec:
         if self.kind == "relu":
             return np.maximum(z, 0.0)
         return np.tanh(z)
-
-    def derivative(self, z):
-        # relu derivative at 0 is taken as 0 (a measure-zero convention)
-        if self.kind == "relu":
-            return (np.asarray(z) > 0).astype(float)
-        return 1.0 - np.tanh(z) ** 2
 
     def path_offset(self, b):
         """Contribution of the bias to the per-neuron path weight."""
@@ -221,12 +204,12 @@ def lipschitz_bound(net: TwoLayerNetwork, q: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rademacher_bound(n: int, d: int, lipschitz: float = 1.0) -> float:
-    """Closed-form bound ``2 L sqrt(2 log(2d) / n)`` on signed empirical means
-    over the unit path-norm ball, for samples inside [-1,1]^d."""
+def rademacher_bound(n: int, d: int) -> float:
+    """Closed-form bound ``2 sqrt(2 log(2d) / n)`` on signed empirical means
+    over the unit relu path-norm ball, for samples inside [-1,1]^d."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    return 2.0 * lipschitz * math.sqrt(2.0 * math.log(2.0 * d) / n)
+    return 2.0 * math.sqrt(2.0 * math.log(2.0 * d) / n)
 
 
 @dataclass
@@ -289,37 +272,9 @@ def _sup_relu_draw(X, xi, restarts, rng):
     return best
 
 
-def _sup_smooth_draw(X, xi, activation, restarts, rng):
-    """Ascent on +-s(w.x+b)/(|w|_1+1) for bounded sigmoidal activations."""
-    n, d = X.shape
-    P0 = rng.standard_normal((restarts, d + 1))
-    best = 0.0
-    for sign in (1.0, -1.0):
-        Q = P0.copy()
-        step = 0.5
-        for _ in range(_ASCENT_STEPS):
-            w, b = Q[:, :d], Q[:, d]
-            pre = X @ w.T + b
-            c = np.abs(w).sum(axis=1) + 1.0
-            h = (xi @ activation.apply(pre)) / n
-            dact = activation.derivative(pre) * xi[:, None]
-            hw = (X.T @ dact).T / n
-            hb = dact.sum(axis=0) / n
-            gw = sign * (hw * c[:, None] - h[:, None] * np.sign(w)) / (c**2)[:, None]
-            gb = sign * hb / c
-            Q = Q + step * np.column_stack([gw, gb])
-            step *= 0.95
-        w, b = Q[:, :d], Q[:, d]
-        vals = sign * (xi @ activation.apply(X @ w.T + b)) / n / (np.abs(w).sum(axis=1) + 1.0)
-        if not np.all(np.isfinite(vals)):
-            raise OptimizationError("non-finite objective in rademacher ascent")
-        best = max(best, float(vals.max()))
-    return best
-
-
-def rademacher_estimate(sample, activation: ActivationSpec = RELU, restarts: int = 16,
-                        seed: int = 0, sign_draws: int = 32) -> RademacherEstimate:
-    """Monte-Carlo Rademacher complexity of the unit path-norm ball.
+def rademacher_estimate(sample, restarts: int = 16, seed: int = 0,
+                        sign_draws: int = 32) -> RademacherEstimate:
+    """Monte-Carlo Rademacher complexity of the unit relu path-norm ball.
 
     For each sign vector the supremum over the ball is reduced to signed
     normalized single neurons (the ball's extreme points) and maximized by
@@ -331,90 +286,19 @@ def rademacher_estimate(sample, activation: ActivationSpec = RELU, restarts: int
         raise ValueError("sample must be nonempty")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if sign_draws < 1:
+        raise ValueError("sign_draws must be >= 1")
     n, d = X.shape
     rng = spawn_rng(seed, n, d)
     draws = np.empty(sign_draws)
     for i in range(sign_draws):
         xi = rng.choice([-1.0, 1.0], size=n)
-        if activation.kind == "relu":
-            draws[i] = _sup_relu_draw(X, xi, restarts, rng)
-        else:
-            draws[i] = _sup_smooth_draw(X, xi, activation, restarts, rng)
+        draws[i] = _sup_relu_draw(X, xi, restarts, rng)
     return RademacherEstimate(
         estimate=float(draws.mean()),
-        bound=rademacher_bound(n, d, activation.lipschitz),
+        bound=rademacher_bound(n, d),
         draws=draws, n=n, d=d, seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fourier integrability criterion
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FourierData:
-    """Spectral data: point masses plus an optional magnitude density.
-
-    Convention: ``f(x) = int fhat(xi) exp(i <xi,x>) dxi + sum_j mass_j
-    exp(i <xi_j, x>)``.  ``density`` evaluates ``|fhat|``; it is either a
-    univariate density on the line (``density_kind="univariate"``) or a
-    radial profile ``|fhat|(xi) = g(|xi|_2)`` in dimension ``dim``
-    (``density_kind="radial"``).
-    """
-
-    atoms: List[Tuple[np.ndarray, complex]] = field(default_factory=list)
-    density: Optional[Callable[[float], float]] = None
-    density_kind: str = "univariate"
-    dim: int = 1
-
-
-@dataclass
-class FourierBound:
-    value: float
-    quad_error: float
-    diverged: bool
-
-
-def _sphere_area(d: int) -> float:
-    """Surface area of the unit sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def fourier_barron_bound(f: FourierData) -> FourierBound:
-    """First spectral moment ``sum |mass| |xi| + int |fhat(xi)| |xi| dxi``.
-
-    Finiteness certifies representability by a two-layer network of
-    comparable weight budget.  A divergent tail is reported as ``inf`` with
-    the ``diverged`` flag instead of an exception.
-    """
-    total = 0.0
-    for xi, mass in f.atoms:
-        total += abs(complex(mass)) * float(np.linalg.norm(np.atleast_1d(xi)))
-    err = 0.0
-    diverged = False
-    if f.density is not None:
-        g = f.density
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if f.density_kind == "univariate":
-                pos, e1 = integrate.quad(lambda r: g(r) * abs(r), 0, np.inf, limit=200)
-                neg, e2 = integrate.quad(lambda r: g(-r) * abs(r), 0, np.inf, limit=200)
-                part, err = pos + neg, e1 + e2
-            elif f.density_kind == "radial":
-                area = _sphere_area(f.dim)
-                part, err = integrate.quad(lambda r: g(r) * r**f.dim, 0, np.inf, limit=200)
-                part, err = area * part, area * err
-            else:
-                raise ValueError(f"unknown density_kind {f.density_kind!r}")
-        nonconvergent = any(issubclass(w.category, integrate.IntegrationWarning)
-                            for w in caught)
-        if nonconvergent or not math.isfinite(part) or (part > 0 and err > 0.1 * max(part, 1.0)):
-            diverged = True
-            total = math.inf
-        else:
-            total += part
-    return FourierBound(value=total, quad_error=err, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -493,59 +377,3 @@ def canonical_network_1d(f: PiecewiseLinear1D) -> TwoLayerNetwork:
         bias.append(-float(t))
     return TwoLayerNetwork(np.array(outer), np.array(inner), np.array(bias),
                            RELU, averaged=False)
-
-
-def relu_net_integral_1d(net: TwoLayerNetwork) -> float:
-    """Exact integral of a 1D relu network over [0,1]."""
-    return PiecewiseLinear1D.from_network(net).integral()
-
-
-# ---------------------------------------------------------------------------
-# Uniform Monte-Carlo integration gap
-# ---------------------------------------------------------------------------
-
-
-def sample_unit_path_norm_networks(d: int, count: int, width: int, rng,
-                                   activation: ActivationSpec = RELU,
-                                   ) -> List[TwoLayerNetwork]:
-    """Random networks rescaled to path norm at most 1 (outer-weight scaling)."""
-    nets = []
-    for _ in range(count):
-        net = TwoLayerNetwork(rng.standard_normal(width),
-                              rng.standard_normal((width, d)),
-                              rng.standard_normal(width),
-                              activation, averaged=True)
-        pn = path_norm(net)
-        target = rng.uniform(0.3, 1.0)
-        if pn > 0:
-            net = net.scale_outer(target / pn)
-        nets.append(net)
-    return nets
-
-
-@dataclass
-class GapReport:
-    sup_gap: float
-    gaps: np.ndarray
-    bound: float
-
-
-def mc_integration_gap(nets_with_integrals: Iterable[Tuple[TwoLayerNetwork, float]],
-                       sample) -> GapReport:
-    """Worst |sample mean - integral| over networks of path norm <= 1.
-
-    Each network comes with its reference integral over the sample's domain
-    (exact for 1D relu networks via :func:`relu_net_integral_1d`).  The
-    supremum over the unit ball is controlled by the Rademacher-based bound
-    reported alongside.
-    """
-    X = as_points(sample)
-    n, d = X.shape
-    gaps = []
-    for net, ref in nets_with_integrals:
-        if path_norm(net) > 1.0 + 1e-9:
-            raise ValueError("network outside the unit path-norm ball")
-        gaps.append(abs(float(np.mean(net.evaluate(X))) - float(ref)))
-    gaps = np.asarray(gaps)
-    return GapReport(sup_gap=float(gaps.max()) if gaps.size else 0.0, gaps=gaps,
-                     bound=rademacher_bound(n, d))

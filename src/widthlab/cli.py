@@ -203,8 +203,8 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
             if key not in byname:
                 raise ValueError(f"unknown parameter {key!r} in config file")
             try:
-                resolved[key] = byname[key].parse(val) if val is not None else None
-            except (TypeError, OverflowError) as exc:  # e.g. int(Infinity), float([1])
+                resolved[key] = _parse_json_value(byname[key], val)
+            except (TypeError, ValueError, OverflowError) as exc:  # e.g. int(Infinity)
                 raise ValueError(f"--{key} in the config file: {exc}") from None
         file_seed = payload.get("seed")
         file_out = payload.get("output_dir")
@@ -241,6 +241,23 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
         # depend on the count, so a rerun from the manifest matches anyway
         threads=min(_run_setting("threads", threads, file_threads, 1), os.cpu_count() or 1),
     )
+
+
+def _parse_json_value(spec: ParamSpec, value):
+    """A config-file value parsed as its flag's would be.  JSON numbers are
+    checked first, because ``int`` truncates 2.7 and ``float`` takes true as
+    1.0: a boolean is no number, and an int needs an integral one."""
+    if value is None:
+        return None
+    kind = {int: int, _parse_int_list: int,
+            float: float, _parse_float_list: float}.get(spec.parse)
+    if kind is not None:
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, bool) or (kind is int and isinstance(v, float)
+                                       and not v.is_integer()):
+                raise ValueError(f"not {'an integer' if kind is int else 'a number'}: "
+                                 f"{json.dumps(v)}")
+    return spec.parse(value)
 
 
 def _run_setting(flag: str, value, file_value, minimum: int) -> int:

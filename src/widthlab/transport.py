@@ -38,8 +38,6 @@ __all__ = [
     "w1_exact",
     "w1_assignment_oracle",
     "w1_1d_cdf",
-    "sinkhorn_w1",
-    "SinkhornResult",
     "covering_lower_bound",
     "ball_intersection_volume",
     "ball_intersection_volume_mc",
@@ -456,49 +454,6 @@ def w1_1d_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     xs = xs[order]
     cdf_gap = np.cumsum(deltas)[:-1]
     return float(np.sum(np.abs(cdf_gap) * np.diff(xs)))
-
-
-@dataclass
-class SinkhornResult:
-    value: float
-    approximate: bool
-    reg: float
-    iterations: int
-
-
-def sinkhorn_w1(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                metric: TorusMetricConfig = TORUS_LINF) -> SinkhornResult:
-    """Entropic approximation with regularization scaling, in the log domain:
-    300 sweeps at each of 8 geometrically spaced regularizations down to 2e-3.
-
-    Always flagged approximate; intended for supports too large for the
-    exact LP and never for verifying one-sided bounds.
-    """
-    if mu.dim != nu.dim:
-        raise TransportError("dimension mismatch")
-    C = metric.pairwise(mu.points, nu.points)
-    la, lb = np.log(mu.weights + 1e-300), np.log(nu.weights + 1e-300)
-    f = np.zeros(mu.size)
-    g = np.zeros(nu.size)
-    total_iters = 0
-    regs = np.geomspace(max(C.max(), 2e-3), 2e-3, 8)
-    for reg in regs:
-        for _ in range(300):
-            M = (-C + f[:, None] + g[None, :]) / reg
-            f = f + reg * (la - _logsumexp_rows(M))
-            M = (-C + f[:, None] + g[None, :]) / reg
-            g = g + reg * (lb - _logsumexp_rows(M.T))
-            total_iters += 1
-    M = (-C + f[:, None] + g[None, :]) / regs[-1]
-    P = np.exp(M)
-    P *= 1.0 / P.sum()
-    return SinkhornResult(value=float((P * C).sum()), approximate=True,
-                          reg=float(regs[-1]), iterations=total_iters)
-
-
-def _logsumexp_rows(M):
-    mx = M.max(axis=1, keepdims=True)
-    return (mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True))).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Networks, path norms, Rademacher estimates, Fourier moment, 1D norm."""
+"""Networks, path norms, Rademacher estimates, 1D norm and integral."""
 
 import math
 
@@ -8,19 +8,14 @@ import pytest
 from widthlab.barron import (
     RELU,
     TANH,
-    FourierData,
     PiecewiseLinear1D,
     TwoLayerNetwork,
     bv_norm_1d,
     canonical_network_1d,
-    fourier_barron_bound,
     lipschitz_bound,
-    mc_integration_gap,
     path_norm,
     rademacher_bound,
     rademacher_estimate,
-    relu_net_integral_1d,
-    sample_unit_path_norm_networks,
 )
 
 
@@ -118,11 +113,10 @@ class TestRademacher:
             assert est.violations == 0
             assert est.estimate <= est.bound
 
-    def test_tanh_estimate_below_bound(self):
-        rng = np.random.default_rng(11)
-        X = rng.uniform(-1, 1, (64, 3))
-        est = rademacher_estimate(X, activation=TANH, sign_draws=8, restarts=8, seed=2)
-        assert est.violations == 0
+    @pytest.mark.parametrize("sign_draws", [0, -1])
+    def test_no_sign_draws_rejected(self, sign_draws):
+        with pytest.raises(ValueError, match="sign_draws"):
+            rademacher_estimate(np.zeros((4, 2)), sign_draws=sign_draws)
 
     def test_rate_scaling_in_expectation(self):
         """Estimate decays roughly like 1/sqrt(n) over a seeded sweep."""
@@ -134,35 +128,6 @@ class TestRademacher:
             means.append(rademacher_estimate(X, sign_draws=12, restarts=8, seed=3).estimate)
         slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.2)
-
-
-class TestFourierBound:
-    def test_cosine_atoms(self):
-        w0 = np.array([3.0, 4.0])
-        f = FourierData(atoms=[(w0, 0.5), (-w0, 0.5)])
-        assert fourier_barron_bound(f).value == pytest.approx(5.0, rel=1e-14)
-
-    def test_constant_function(self):
-        f = FourierData(atoms=[(np.zeros(2), 1.0)])
-        assert fourier_barron_bound(f).value == 0.0
-
-    def test_gaussian_density_1d(self):
-        # |fhat|(xi) = exp(-xi^2/2)/sqrt(2 pi); first moment = sqrt(2/pi)
-        f = FourierData(density=lambda xi: math.exp(-xi**2 / 2) / math.sqrt(2 * math.pi))
-        out = fourier_barron_bound(f)
-        assert not out.diverged
-        assert out.value == pytest.approx(math.sqrt(2 / math.pi), abs=1e-8)
-
-    def test_divergent_tail_flagged(self):
-        f = FourierData(density=lambda xi: 1.0 / (1.0 + abs(xi)))
-        out = fourier_barron_bound(f)
-        assert out.diverged and out.value == math.inf
-
-    def test_radial_density_matches_univariate_in_1d(self):
-        g = lambda r: math.exp(-r)
-        uni = fourier_barron_bound(FourierData(density=lambda x: math.exp(-abs(x))))
-        rad = fourier_barron_bound(FourierData(density=g, density_kind="radial", dim=1))
-        assert rad.value == pytest.approx(uni.value, rel=1e-10)
 
 
 class TestBV1D:
@@ -214,29 +179,24 @@ class TestBV1D:
             assert bv <= 2 * path_norm(net) * (1 + 1e-12)
 
 
-class TestIntegrationGap:
-    def test_zero_network_gap(self):
-        net = TwoLayerNetwork(np.zeros(2), np.zeros((2, 1)), np.zeros(2))
-        X = np.linspace(0, 1, 50).reshape(-1, 1)
-        rep = mc_integration_gap([(net, 0.0)], X)
-        assert rep.sup_gap == 0.0
+class TestIntegral1D:
+    @pytest.mark.parametrize("w,b", [(0.7, -0.2), (-1.3, 0.4), (2.0, 0.5), (0.5, -0.9),
+                                     (3.0, -4.0), (0.0, 0.3)])
+    def test_single_neuron_closed_form(self, w, b):
+        """int_0^1 a relu(w x + b) dx = a (relu(w+b)^2 - relu(b)^2) / (2w)."""
+        a = 1.7
+        net = TwoLayerNetwork([a], [[w]], [b], RELU, averaged=False)
+        exact = a * (max(w + b, 0.0) ** 2 - max(b, 0.0) ** 2) / (2 * w) if w else a * max(b, 0.0)
+        got = PiecewiseLinear1D.from_network(net).integral()
+        assert got == pytest.approx(exact, rel=1e-14, abs=1e-14)
 
-    def test_single_neuron_grid_gap_small(self):
-        """Midpoint-grid average of a 1D unit-ball neuron is within O(1/n) of
-        the exact integral."""
-        net = TwoLayerNetwork([1.0], [[0.7]], [-0.2], RELU, averaged=False)
-        net = net.scale_outer(1.0 / 0.9)  # path norm (0.7+0.2)/0.9 = 1
-        n = 200
-        X = ((np.arange(n) + 0.5) / n).reshape(-1, 1)
-        ref = relu_net_integral_1d(net)
-        rep = mc_integration_gap([(net, ref)], X)
-        assert rep.sup_gap <= 1.0 / n + 1e-6
-
-    def test_gap_below_bound_for_sampled_ball(self):
-        rng = np.random.default_rng(9)
-        n = 400
-        X = rng.uniform(0, 1, (n, 1))
-        nets = sample_unit_path_norm_networks(1, 40, 5, rng)
-        pairs = [(net, relu_net_integral_1d(net)) for net in nets]
-        rep = mc_integration_gap(pairs, X)
-        assert rep.sup_gap <= rep.bound
+    def test_random_networks_match_midpoint_rule(self):
+        rng = np.random.default_rng(12)
+        n = 200_000
+        xs = ((np.arange(n) + 0.5) / n).reshape(-1, 1)
+        for averaged in (True, False):
+            for _ in range(5):
+                net = random_relu_net(rng, d=1, width=8, averaged=averaged)
+                midpoint = float(np.mean(net.evaluate(xs)))
+                assert PiecewiseLinear1D.from_network(net).integral() == pytest.approx(
+                    midpoint, abs=1e-9)

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,3 +476,44 @@ def test_exit_code_contract_fuzzed(tmp_path):
         for owner, attr in _SOLVERS:
             patch.setattr(owner, attr, _accepted)
         check()
+
+
+@pytest.mark.parametrize("sub,spec", _INT_SPECS + _FLOAT_SPECS,
+                         ids=[f"{sub}--{spec.name}" for sub, spec in _INT_SPECS + _FLOAT_SPECS])
+def test_config_file_numbers_not_coerced(sub, spec, monkeypatch, tmp_path, capsys):
+    """A config-file number for an int flag, or for an element of an
+    int-list flag, must be integral (3.0 parses as 3; 2.7 used to run as 2),
+    and a JSON boolean is no number for any numeric flag (true used to run
+    as 1 or 1.0).  Either exits 2 naming the flag, before anything runs."""
+    for owner, attr in _SOLVERS:
+        monkeypatch.setattr(owner, attr, _never_called)
+    is_int = spec.parse in (int, cli._parse_int_list)
+    is_list = spec.parse in (cli._parse_int_list, cli._parse_float_list)
+    cfg = tmp_path / "cfg.json"
+
+    def config(value):
+        params = {**_VALID[sub], spec.name: [8, value] if is_list else value}
+        cfg.write_text(json.dumps({"subcommand": sub, "parameters": params}))
+        return str(cfg)
+
+    whole = float(spec.minimum + 1) if is_int else 1.5
+    got = cli.resolve_config(sub, {}, config(whole), None, None, None, None).parameters
+    value = got[spec.name][-1] if is_list else got[spec.name]
+    assert value == whole and type(value) is (int if is_int else float)
+    for bad in [True, False] + ([whole + 0.5] if is_int else []):
+        rc = cli.main([sub, "--config", config(bad), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, bad
+        assert "Traceback" not in err
+        assert f"--{spec.name} in the config file" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """No subcommand integrates with scipy, so ``import widthlab.cli`` must
+    not load ``scipy.integrate``: it would add to every run's start-up."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, widthlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -16,7 +16,6 @@ from widthlab.transport import (
     default_gamma,
     empirical_w1_rate,
     indicator_sum_l2,
-    sinkhorn_w1,
     smoothed_apply,
     smoothing_l2_surrogate,
     smoothing_operator_constant,
@@ -267,17 +266,6 @@ def test_perfbench_tracer_sees_every_lp(monkeypatch):
     assert counts["transport.lp.infeasible"] == 0
     assert type(value) is float
     json.dumps(value)
-
-
-class TestSinkhorn:
-    def test_close_to_exact_and_flagged(self):
-        rng = np.random.default_rng(6)
-        mu = random_measure(rng, 25, 2)
-        nu = random_measure(rng, 30, 2)
-        exact = w1_exact(mu, nu)
-        approx = sinkhorn_w1(mu, nu)
-        assert approx.approximate
-        assert approx.value == pytest.approx(exact, rel=0.05, abs=5e-3)
 
 
 class TestCoveringBound:
