@@ -46,14 +46,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """Activation with its Lipschitz constant and path-weight offset rule.
+    """Activation with its path-weight offset rule.
 
     ``kind`` is one of ``"relu"`` (positively 1-homogeneous, offset |b|) or
-    ``"tanh"`` (bounded sigmoidal, offset 1).
+    ``"tanh"`` (bounded sigmoidal, offset 1); both are 1-Lipschitz.
     """
 
     kind: str = "relu"
-    lipschitz: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("relu", "tanh"):
@@ -61,11 +60,11 @@ class ActivationSpec:
 
     @classmethod
     def relu(cls) -> "ActivationSpec":
-        return cls(kind="relu", lipschitz=1.0)
+        return cls(kind="relu")
 
     @classmethod
     def tanh(cls) -> "ActivationSpec":
-        return cls(kind="tanh", lipschitz=1.0)
+        return cls(kind="tanh")
 
     def apply(self, z):
         if self.kind == "relu":
@@ -169,18 +168,33 @@ class TwoLayerNetwork:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TwoLayerNetwork":
+        """Network from its wire format; a malformed payload raises
+        ValueError naming the bad field."""
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a network payload must be a JSON object, not {type(payload).__name__}")
         kind = payload.get("activation", "relu")
-        act = {"relu": RELU, "tanh": TANH}.get(kind)
+        act = {"relu": RELU, "tanh": TANH}.get(kind) if isinstance(kind, str) else None
         if act is None:
             raise ValueError(f"unsupported activation in network payload: {kind!r}")
-        neurons = payload["neurons"]
-        if neurons:
-            outer = np.array([n[0] for n in neurons], dtype=float)
-            inner = np.array([n[1] for n in neurons], dtype=float)
-            bias = np.array([n[2] for n in neurons], dtype=float)
-        else:
-            outer, inner, bias = np.zeros(0), np.zeros((0, 0)), np.zeros(0)
-        return cls(outer, inner, bias, act, bool(payload.get("averaged", True)))
+        averaged = bool(payload.get("averaged", True))
+        neurons = payload.get("neurons")
+        bad = ValueError("network payload: 'neurons' must be a list of [a, [w...], b] "
+                         "triples of finite numbers")
+        if not isinstance(neurons, list) or not all(
+                isinstance(n, list) and len(n) == 3 for n in neurons):
+            raise bad
+        if not neurons:
+            return cls(np.zeros(0), np.zeros((0, 0)), np.zeros(0), act, averaged)
+        try:
+            outer, inner, bias = (np.array(column, dtype=float) for column in zip(*neurons))
+        except (TypeError, ValueError):  # a string, an object or a ragged list
+            raise bad from None
+        # w may be a bare number (d = 1); a null reads as nan
+        if outer.ndim != 1 or inner.ndim > 2 or bias.ndim != 1 or not all(
+                np.isfinite(v).all() for v in (outer, inner, bias)):
+            raise bad
+        return cls(outer, inner, bias, act, averaged)
 
 
 def path_norm(net: TwoLayerNetwork, q: int = 1) -> float:
@@ -195,8 +209,9 @@ def path_norm(net: TwoLayerNetwork, q: int = 1) -> float:
 
 
 def lipschitz_bound(net: TwoLayerNetwork, q: int = 1) -> float:
-    """Upper bound on the Lipschitz constant w.r.t. the sup norm (q=1 duality)."""
-    return net.activation.lipschitz * path_norm(net, q=q)
+    """Upper bound on the Lipschitz constant w.r.t. the sup norm (q=1
+    duality): the path norm, since both activations are 1-Lipschitz."""
+    return path_norm(net, q=q)
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,8 @@ def _run_transport(cfg: RunConfig) -> RunOutput:
         grid_resolution=p["grid"], seed=cfg.seed, metric=metric,
         threads=cfg.threads)
     rows = [{"d": report.d, "n": t.n, "trial": t.trial, "w1": t.w1,
-             "lower_bound": t.lower_bound, "seed": t.seed_key}
+             "lower_bound": t.lower_bound, "l2_surrogate": t.l2_surrogate,
+             "seed": t.seed_key}
             for t in report.trials]
     means = {str(n): v for n, v in report.mean_w1.items()}
     summary = {"slope": report.slope, "slope_stderr": report.slope_stderr,
@@ -344,11 +345,13 @@ def _run_transport(cfg: RunConfig) -> RunOutput:
                "all_bounds_hold": report.all_bounds_hold,
                "grid_spacing": report.grid_spacing,
                "discretization_error": report.discretization_error,
-               "metric": {"norm": metric.norm, "periodic": metric.periodic}}
+               "metric": {"norm": metric.norm, "periodic": metric.periodic},
+               "smoothing_gamma": report.smoothing_gamma,
+               "smoothing_operator_constant": report.smoothing_operator_constant}
     plot = PlotSpec(x=list(report.mean_w1.keys()), y=list(report.mean_w1.values()),
                     slope=report.slope, intercept=report.intercept,
                     title="empirical transport rate", xlabel="n", ylabel="mean W1")
-    return RunOutput(header=["d", "n", "trial", "w1", "lower_bound", "seed"],
+    return RunOutput(header=["d", "n", "trial", "w1", "lower_bound", "l2_surrogate", "seed"],
                      rows=rows, summary=summary, plot=plot)
 
 

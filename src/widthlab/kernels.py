@@ -29,18 +29,17 @@ k = 0 (mod 4) is negative and flagged "sign".  Degrees 0 and 1 sit outside
 the closed form's validity and are always taken from the oracle.
 
 ``nystrom_spectrum`` discretizes the operator matching the tabulated
-convention (the scaled first-order operator for the sphere kind), so its
+convention (the scaled first-order operator of the sphere kind), so its
 plateau heights line up with ``exact_eigenvalue`` and plateau widths with
-``multiplicity``.  Feature-space kernels (Gaussian random features, NTK,
-Monte-Carlo customs) are positive semidefinite and are checked as such; the
-first-order operator is symmetric but indefinite at the sign-flagged
-degrees.
+``multiplicity``.  Feature-space kernels (Gaussian random features, NTK)
+are positive semidefinite and are checked as such; the first-order
+operator is symmetric but indefinite at the sign-flagged degrees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lgamma, pi
 from typing import Callable, Dict, List, Optional, Tuple
@@ -71,7 +70,6 @@ __all__ = [
     "DegreeEigenvalue",
     "KernelSpectrum",
     "exact_spectrum",
-    "projection_tail_bound",
 ]
 
 
@@ -262,27 +260,20 @@ class KernelSpec:
         no bias.
       - ``ntk_relu``: tangent kernel of ``a s(w.x + b)`` at symmetric
         ``|a| = a0`` and unit ``(w, b)``.
-      - ``custom_mc``: user feature sampler ``sampler(rng, m) -> (W, b)``
-        with an activation callable.
     """
 
     kind: str
     d: int
     a0: Optional[float] = None
-    sampler: Optional[Callable] = field(default=None, compare=False)
-    activation: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
-        kinds = ("random_feature_relu_sphere", "random_feature_relu_gaussian",
-                 "ntk_relu", "custom_mc")
+        kinds = ("random_feature_relu_sphere", "random_feature_relu_gaussian", "ntk_relu")
         if self.kind not in kinds:
             raise KernelError(f"kind must be one of {kinds}, got {self.kind!r}")
         if self.d < 1:
             raise KernelError("d must be >= 1")
         if self.kind == "ntk_relu" and (self.a0 is None or self.a0 <= 0):
             raise KernelError("ntk_relu needs a positive a0")
-        if self.kind == "custom_mc" and self.sampler is None:
-            raise KernelError("custom_mc needs a sampler")
 
 
 def _relu(z):
@@ -290,20 +281,14 @@ def _relu(z):
 
 
 def _feature_matrix(spec: KernelSpec, X: np.ndarray, samples: int, rng):
-    """Feature activations (n_points, samples)."""
+    """Feature activations (n_points, samples) of a random-feature kind."""
     if spec.kind == "random_feature_relu_sphere":
         W = uniform_sphere_points(samples, spec.d, rng)
         if X.shape[1] != spec.d + 1:
             raise KernelError(f"sphere kind expects points in R^{spec.d + 1}")
-        return _relu(X @ W.T)
-    if spec.kind == "random_feature_relu_gaussian":
+    else:
         W = math.sqrt(2.0) * rng.standard_normal((samples, X.shape[1]))
-        return _relu(X @ W.T)
-    if spec.kind == "custom_mc":
-        W, b = spec.sampler(rng, samples)
-        act = spec.activation if spec.activation is not None else _relu
-        return act(X @ np.asarray(W).T + (0.0 if b is None else np.asarray(b)))
-    raise KernelError(f"no plain feature map for kind {spec.kind!r}")
+    return _relu(X @ W.T)
 
 
 def mc_kernel(spec: KernelSpec, x, y, samples: int = 10_000,
@@ -427,30 +412,21 @@ MAX_NYSTROM_POINTS = 5000
 def nystrom_spectrum(spec: KernelSpec, n: int, seed: int = 0) -> np.ndarray:
     """Nonincreasing eigenvalues of Gram/n on n uniform sphere samples.
 
-    For the sphere random-feature kind the Gram realizes the scaled
-    first-order zonal operator (closed form ``zonal_relu_scale(d) *
-    relu(x.y)``), whose spectrum the eigenvalue tables follow; its top
-    eigenvalues form plateaus of width ``multiplicity(d, k)``.  Other kinds
-    build their (positive semidefinite) feature kernels from 8192 Monte-Carlo
-    feature draws.
+    Only the sphere random-feature kind has a Nystrom spectrum: its Gram
+    realizes the scaled first-order zonal operator (closed form
+    ``zonal_relu_scale(d) * relu(x.y)``), whose spectrum the eigenvalue
+    tables follow; its top eigenvalues form plateaus of width
+    ``multiplicity(d, k)``.
     """
+    if spec.kind != "random_feature_relu_sphere":
+        raise KernelError(f"Nystrom spectra need kind random_feature_relu_sphere, "
+                          f"got {spec.kind!r}")
     if n < 1 or n > MAX_NYSTROM_POINTS:
         raise KernelError(f"n must lie in [1, {MAX_NYSTROM_POINTS}]")
-    rng = spawn_rng(seed)
-    if spec.kind == "random_feature_relu_sphere":
-        # points on S^d in R^(d+1), matching the spectrum tables
-        X = uniform_sphere_points(n, spec.d, rng)
-        scale = zonal_relu_scale(spec.d) if spec.d >= 2 else 1.0
-        K = scale * _relu(X @ X.T)
-    elif spec.kind == "ntk_relu":
-        # unit inputs in R^d; the bias coordinate is appended internally
-        X = uniform_sphere_points(n, spec.d - 1, rng)
-        _, K = _ntk_gram_matrix(X, spec.a0, 8192, rng)
-    else:
-        X = uniform_sphere_points(n, spec.d - 1, rng)
-        feats = _feature_matrix(spec, X, 8192, rng)
-        K = feats @ feats.T / 8192
-    return _gram_result(K / n).eigenvalues
+    # points on S^d in R^(d+1), matching the spectrum tables
+    X = uniform_sphere_points(n, spec.d, spawn_rng(seed))
+    scale = zonal_relu_scale(spec.d) if spec.d >= 2 else 1.0
+    return _gram_result(scale * _relu(X @ X.T) / n).eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +508,3 @@ def exact_spectrum(d: int, max_degree: int, quadrature_points: int = 200) -> Ker
                 value = formula
         degrees.append(DegreeEigenvalue(k=k, value=value, mult=multiplicity(d, k)))
     return KernelSpectrum(d=d, degrees=degrees, flags=flags)
-
-
-def projection_tail_bound(spectrum: KernelSpectrum, n: int) -> float:
-    """Tail bound ``1 / sqrt(mu_(n+1))`` in the flattened indexing.
-
-    ``mu_(n+1)`` is the (n+1)-th largest eigenvalue counted with
-    multiplicity.
-    """
-    mu = spectrum.mu(n + 1)
-    if not 0 <= n < mu.size:
-        raise KernelError(f"n+1 = {n + 1} exceeds the computed spectrum length {mu.size}")
-    val = mu[n]
-    if val <= 0:
-        raise KernelError(f"mu_(n+1) = {val} is not positive; tail bound undefined")
-    return 1.0 / math.sqrt(val)

@@ -2,20 +2,21 @@
 
 Exact 1-Wasserstein distances between finitely supported measures (network
 LP with a dual optimality certificate), the ball-covering lower bound
-against any n-point empirical measure, and smoothed evaluation functionals
+against any n-point empirical measure, and the L2 operator-norm surrogate
+of the smoothed evaluation functionals
 
-    A(phi) = (1/n) sum_i average of phi over the ball B_eps(x_i)
+    A(phi) = (1/n) sum_i average of phi over the ball B_eps(x_i),
 
-whose L2 operator norm stays bounded when ``eps = gamma_d n**(-1/d)``.
+which stays bounded uniformly in n when ``eps = gamma_d n**(-1/d)``.
 
 Conventions.  Points live in ``[0,1)^d``.  The default ground norm is the
 sup norm, whose balls are axis-aligned cubes: volumes and pairwise
 intersection volumes are exact products, removing one quadrature error
-source; the Euclidean norm is available with Monte-Carlo intersection
-volumes.  Balls are interpreted periodically (distances wrap per
+source.  Balls are interpreted periodically (distances wrap per
 coordinate) so boundary effects vanish; the empirical-rate experiment
 defaults to the plain unit cube, where the covering bound argument also
-applies verbatim.
+applies verbatim, and reports the surrogate on torus balls whatever its
+ground metric.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import OptimizeResult
@@ -42,9 +43,7 @@ __all__ = [
     "ball_intersection_volume",
     "ball_intersection_volume_mc",
     "indicator_sum_l2",
-    "SmoothedFunctional",
     "default_gamma",
-    "smoothed_apply",
     "smoothing_l2_surrogate",
     "smoothing_operator_constant",
     "empirical_w1_rate",
@@ -78,12 +77,10 @@ class TorusMetricConfig:
         if self.norm not in ("ell_inf", "ell_2"):
             raise TransportError(f"unsupported norm {self.norm!r}")
 
-    def _coord_diffs(self, X, Y):
-        return _per_coord_periodic_dist(X[:, None, :] - Y[None, :, :], self.periodic)
-
     def pairwise(self, X, Y) -> np.ndarray:
         """Distance matrix between rows of X and rows of Y."""
-        D = self._coord_diffs(np.asarray(X, float), np.asarray(Y, float))
+        X, Y = np.asarray(X, float), np.asarray(Y, float)
+        D = _per_coord_periodic_dist(X[:, None, :] - Y[None, :, :], self.periodic)
         if self.norm == "ell_inf":
             return D.max(axis=2)
         return np.sqrt((D**2).sum(axis=2))
@@ -96,10 +93,6 @@ class TorusMetricConfig:
         if self.norm == "ell_inf":
             return 2.0**d
         return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-    def mean_ball_radius_factor(self, d: int) -> float:
-        """Average of |x| over the unit ball; equals d/(d+1) for either norm."""
-        return d / (d + 1.0)
 
 
 CUBE_LINF = TorusMetricConfig(norm="ell_inf", periodic=False)
@@ -477,7 +470,7 @@ def covering_lower_bound(n: int, d: int, metric: TorusMetricConfig = TORUS_LINF)
 
 
 # ---------------------------------------------------------------------------
-# Balls: intersections and smoothed functionals
+# Balls: intersections and the smoothing surrogate
 # ---------------------------------------------------------------------------
 
 
@@ -488,59 +481,48 @@ def _per_coord_periodic_dist(offset: np.ndarray, periodic: bool) -> np.ndarray:
     return delta
 
 
-def ball_intersection_volume(offset, epsilon: float,
-                             metric: TorusMetricConfig = TORUS_LINF) -> float:
-    """Volume of the overlap of two radius-eps balls at the given offset.
-
-    Exact for the sup norm: the overlap factorizes per coordinate into
-    ``max(0, 2 eps - dist_i)``.  Euclidean balls go through the Monte-Carlo
-    variant.  Under periodicity ``eps < 1/4`` keeps a ball from wrapping
-    onto itself.
-    """
+def _check_balls(epsilon: float, metric: TorusMetricConfig):
+    """Sup-norm balls of positive radius, below 1/4 under periodicity so
+    that no ball wraps onto itself."""
     if metric.norm != "ell_inf":
-        raise TransportError("exact intersections require the sup norm; "
-                             "use ball_intersection_volume_mc for ell_2")
-    _check_ball_radius(epsilon, metric)
-    delta = _per_coord_periodic_dist(offset, metric.periodic)
-    return float(np.prod(np.maximum(0.0, 2.0 * epsilon - delta)))
-
-
-def ball_intersection_volume_mc(offset, epsilon: float,
-                                metric: TorusMetricConfig, samples: int = 100_000,
-                                seed: int = 0) -> Tuple[float, float]:
-    """Monte-Carlo overlap volume (rejection from one ball), with std error."""
-    _check_ball_radius(epsilon, metric)
-    offset = np.atleast_1d(np.asarray(offset, dtype=float))
-    d = offset.size
-    rng = np.random.default_rng(seed)
-    pts = _sample_ball(rng, samples, d, epsilon, metric.norm)
-    diff = pts - offset
-    if metric.periodic:
-        diff = diff - np.round(diff)
-    if metric.norm == "ell_inf":
-        inside = np.max(np.abs(diff), axis=1) <= epsilon
-    else:
-        inside = np.linalg.norm(diff, axis=1) <= epsilon
-    vol_ball = metric.unit_ball_volume(d) * epsilon**d
-    frac = inside.mean()
-    se = vol_ball * float(np.sqrt(frac * (1 - frac) / samples))
-    return float(vol_ball * frac), se
-
-
-def _check_ball_radius(epsilon: float, metric: TorusMetricConfig):
+        raise TransportError("ball intersections are computed for the sup norm only")
     if epsilon <= 0:
         raise TransportError("epsilon must be positive")
     if metric.periodic and epsilon >= 0.25:
         raise TransportError("epsilon must be < 1/4 for periodic balls")
 
 
-def _sample_ball(rng, count, d, epsilon, norm):
-    if norm == "ell_inf":
-        return rng.uniform(-epsilon, epsilon, size=(count, d))
-    g = rng.standard_normal((count, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = epsilon * rng.random(count) ** (1.0 / d)
-    return g * r[:, None]
+def ball_intersection_volume(offset, epsilon: float,
+                             metric: TorusMetricConfig = TORUS_LINF) -> np.ndarray:
+    """Volume of the overlap of two radius-eps balls at the given offset.
+
+    The last axis of ``offset`` holds the coordinates, so an array of
+    offsets gives an array of volumes (one offset gives a float).  Exact for
+    the sup norm: the overlap factorizes per coordinate into
+    ``max(0, 2 eps - dist_i)``.
+    """
+    _check_balls(epsilon, metric)
+    delta = _per_coord_periodic_dist(offset, metric.periodic)
+    return np.prod(np.maximum(0.0, 2.0 * epsilon - delta), axis=-1)
+
+
+def ball_intersection_volume_mc(offset, epsilon: float,
+                                metric: TorusMetricConfig, samples: int = 100_000,
+                                seed: int = 0) -> Tuple[float, float]:
+    """Monte-Carlo overlap volume (rejection from one ball), with std error:
+    the independent reference for :func:`ball_intersection_volume`."""
+    _check_balls(epsilon, metric)
+    offset = np.atleast_1d(np.asarray(offset, dtype=float))
+    d = offset.size
+    rng = np.random.default_rng(seed)
+    diff = rng.uniform(-epsilon, epsilon, size=(samples, d)) - offset
+    if metric.periodic:
+        diff = diff - np.round(diff)
+    inside = np.max(np.abs(diff), axis=1) <= epsilon
+    vol_ball = metric.unit_ball_volume(d) * epsilon**d
+    frac = inside.mean()
+    se = vol_ball * float(np.sqrt(frac * (1 - frac) / samples))
+    return float(vol_ball * frac), se
 
 
 def indicator_sum_l2(centers, epsilon: float,
@@ -548,78 +530,27 @@ def indicator_sum_l2(centers, epsilon: float,
     """Squared L2 norm of the sum of the n ball indicators.
 
     Equals ``n omega_d eps^d`` plus the sum of all pairwise intersection
-    volumes; exact for the sup norm.
+    volumes, that is the sum of the overlaps of every ordered pair of balls,
+    each with itself included; exact for the sup norm.  Rows of centres go
+    in blocks of about 2^20 offsets, so memory stays flat in n.
     """
     centers = as_points(centers)
-    if metric.norm != "ell_inf":
-        raise TransportError("exact computation requires the sup norm")
-    _check_ball_radius(epsilon, metric)
     n, d = centers.shape
-    D = metric._coord_diffs(centers, centers)  # (n, n, d) per-coordinate
-    overlaps = np.prod(np.maximum(0.0, 2.0 * epsilon - D), axis=2)
-    off_diag = overlaps.sum() - np.trace(overlaps)
-    return float(n * (2.0 * epsilon) ** d + off_diag)
+    rows = max(1, (1 << 20) // (n * d))
+    return float(sum(ball_intersection_volume(block[:, None, :] - centers[None, :, :],
+                                              epsilon, metric).sum()
+                     for block in np.split(centers, range(rows, n, rows))))
 
 
 def default_gamma(d: int, metric: TorusMetricConfig = TORUS_LINF) -> float:
     """Ball-scale constant keeping the covering bound's bracket positive.
 
-    One quarter of the covering constant divided by the mean ball radius
-    factor, so the smoothed measure stays at least 3/4 of the covering
-    bound away from the uniform measure.
+    One quarter of the covering constant divided by ``d/(d+1)``, the mean
+    radius ``|x|`` over the unit ball of either norm, so the smoothed
+    measure stays at least 3/4 of the covering bound away from the uniform
+    measure.
     """
-    return 0.25 * covering_lower_bound(1, d, metric) / metric.mean_ball_radius_factor(d)
-
-
-@dataclass
-class SmoothedFunctional:
-    """Average of ball averages: ``phi -> (1/n) sum_i avg_{B_eps(x_i)} phi``."""
-
-    centers: np.ndarray
-    radius: float
-    gamma: float
-    metric: TorusMetricConfig = TORUS_LINF
-
-    def __post_init__(self):
-        self.centers = as_points(self.centers)
-        _check_ball_radius(self.radius, self.metric)
-
-    @classmethod
-    def from_points(cls, centers, gamma: Optional[float] = None,
-                    metric: TorusMetricConfig = TORUS_LINF) -> "SmoothedFunctional":
-        centers = as_points(centers)
-        n, d = centers.shape
-        g = default_gamma(d, metric) if gamma is None else float(gamma)
-        return cls(centers=centers, radius=g * n ** (-1.0 / d), gamma=g, metric=metric)
-
-    @property
-    def n(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
-
-
-def smoothed_apply(A: SmoothedFunctional, phi: Callable[[np.ndarray], np.ndarray],
-                   quadrature_points: int = 256, seed: int = 0) -> Tuple[float, float]:
-    """Monte-Carlo value of the smoothed functional, with standard error.
-
-    ``quadrature_points`` samples are drawn per ball; points wrap around the
-    torus before evaluation.  The reported error is the plain standard error
-    of all n*q evaluations (conservative w.r.t. stratification by ball).
-    """
-    if quadrature_points < 1:
-        raise TransportError("quadrature_points must be >= 1")
-    rng = np.random.default_rng(seed)
-    n, d = A.centers.shape
-    u = _sample_ball(rng, n * quadrature_points, d, A.radius, A.metric.norm)
-    pts = np.repeat(A.centers, quadrature_points, axis=0) + u
-    if A.metric.periodic:
-        pts = np.mod(pts, 1.0)
-    vals = np.asarray(phi(pts), dtype=float)
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return float(vals.mean()), se
+    return 0.25 * covering_lower_bound(1, d, metric) / (d / (d + 1.0))
 
 
 def smoothing_l2_surrogate(centers, epsilon: float,
@@ -631,15 +562,14 @@ def smoothing_l2_surrogate(centers, epsilon: float,
     return float(math.sqrt(indicator_sum_l2(centers, epsilon, metric)) / mass)
 
 
-def smoothing_operator_constant(d: int, gamma: float,
-                                metric: TorusMetricConfig = TORUS_LINF) -> float:
+def smoothing_operator_constant(d: int, gamma: float) -> float:
     """Dimension constant bounding the expected L2 surrogate for random
-    centers at scale ``eps = gamma n**(-1/d)``.
+    centers at scale ``eps = gamma n**(-1/d)``, for sup-norm balls.
 
-    For sup-norm balls the normalized mean intersection constant equals 1,
-    giving ``sqrt((1 + (2 gamma)^d) / (omega_d gamma^d))``.
+    Their normalized mean intersection constant equals 1, giving
+    ``sqrt((1 + (2 gamma)^d) / (omega_d gamma^d))`` with ``omega_d = 2^d``.
     """
-    omega = metric.unit_ball_volume(d)
+    omega = TORUS_LINF.unit_ball_volume(d)
     return math.sqrt((1.0 + 2.0**d * gamma**d) / (omega * gamma**d))
 
 
@@ -654,6 +584,7 @@ class RateTrial:
     trial: int
     w1: float
     lower_bound: float
+    l2_surrogate: float
     seed_key: str
 
 
@@ -670,6 +601,8 @@ class RateReport:
     intercept: float
     grid_spacing: float
     discretization_error: float
+    smoothing_gamma: float
+    smoothing_operator_constant: float
 
     @property
     def all_bounds_hold(self) -> bool:
@@ -685,18 +618,24 @@ def empirical_w1_rate(d: int, n_values: Sequence[int], trials: int,
     measures, with a log-log rate fit.
 
     Every individual trial is checked against the covering lower bound minus
-    the grid discretization slack.  Trials are independently seeded from
-    ``(seed, n, trial)`` and may run concurrently.
+    the grid discretization slack.  Each trial also carries the L2 surrogate
+    of its smoothed functional at ``eps = gamma n**(-1/d)``, on sup-norm
+    torus balls whatever ``metric`` is (the surrogate is a property of the
+    centres, not of the ground metric), for comparison with
+    :func:`smoothing_operator_constant`.  Trials are independently seeded
+    from ``(seed, n, trial)`` and may run concurrently.
     """
     grid = DiscreteMeasure.uniform_grid(d, grid_resolution)
     jobs = [(n, t) for n in n_values for t in range(trials)]
+    gamma = default_gamma(d)
 
     def run(job):
         n, t = job
-        rng = spawn_rng(seed, n, t)
-        emp = DiscreteMeasure.empirical(rng.random((n, d)))
+        points = spawn_rng(seed, n, t).random((n, d))
+        emp = DiscreteMeasure.empirical(points)
         return RateTrial(n=n, trial=t, w1=w1_exact(grid, emp, metric),
                          lower_bound=covering_lower_bound(n, d, metric),
+                         l2_surrogate=smoothing_l2_surrogate(points, gamma * n ** (-1.0 / d)),
                          seed_key=f"{seed}:{n}:{t}")
 
     if threads > 1:
@@ -711,4 +650,6 @@ def empirical_w1_rate(d: int, n_values: Sequence[int], trials: int,
     disc = spacing / 2.0 if metric.norm == "ell_inf" else math.sqrt(d) * spacing / 2.0
     return RateReport(d=d, grid_resolution=grid_resolution, metric=metric, seed=seed,
                       trials=results, mean_w1=mean_w1, slope=slope, slope_stderr=stderr,
-                      intercept=intercept, grid_spacing=spacing, discretization_error=disc)
+                      intercept=intercept, grid_spacing=spacing, discretization_error=disc,
+                      smoothing_gamma=gamma,
+                      smoothing_operator_constant=smoothing_operator_constant(d, gamma))

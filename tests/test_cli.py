@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from widthlab import cli
 from widthlab.barron import RELU, TwoLayerNetwork
+from widthlab.transport import default_gamma, smoothing_l2_surrogate, smoothing_operator_constant
+from widthlab.util import spawn_rng
 
 
 def read_csv(path):
@@ -114,7 +116,7 @@ class TestSubcommandSmoke:
                        "--grid", "32", "--out", str(tmp_path)])
         assert rc == 0
         header, rows = read_csv(tmp_path / "results.csv")
-        assert header == ["d", "n", "trial", "w1", "lower_bound", "seed"]
+        assert header == ["d", "n", "trial", "w1", "lower_bound", "l2_surrogate", "seed"]
         assert len(rows) == 4
         summary = json.loads((tmp_path / "results.json").read_text())
         assert summary["all_bounds_hold"] is True
@@ -159,6 +161,39 @@ class TestSubcommandSmoke:
         # top Nystrom value sits near the degree-0 table entry
         assert summary["nystrom_top"][0] == pytest.approx(
             summary["degrees"][0]["lambda"], rel=0.2)
+
+    def test_transport_reports_l2_surrogate(self, tmp_path):
+        """Each trial's l2_surrogate cell is the smoothing surrogate of its
+        seeded points at eps = gamma n^(-1/d) on sup-norm torus balls, and
+        stays within twice the dimension constant."""
+        d, seed = 2, 5
+        rc = cli.main(["transport", "--d", str(d), "--n-list", "16,64", "--trials", "2",
+                       "--grid", "16", "--seed", str(seed), "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "results.csv")
+        summary = json.loads((tmp_path / "results.json").read_text())
+        gamma = default_gamma(d)
+        constant = smoothing_operator_constant(d, gamma)
+        assert summary["smoothing_gamma"] == gamma
+        assert summary["smoothing_operator_constant"] == constant
+        assert len(rows) == 4
+        for row in rows:
+            n, trial = int(row["n"]), int(row["trial"])
+            points = spawn_rng(seed, n, trial).random((n, d))
+            expect = smoothing_l2_surrogate(points, gamma * n ** (-1.0 / d))
+            assert float(row["l2_surrogate"]) == expect
+            assert float(row["l2_surrogate"]) <= 2.0 * constant
+
+    def test_transport_l2_surrogate_under_euclidean_torus(self, tmp_path):
+        """The surrogate ignores the W1 ground metric, so a Euclidean torus
+        run writes it too."""
+        rc = cli.main(["transport", "--d", "2", "--n-list", "4,8", "--trials", "1",
+                       "--grid", "8", "--norm", "ell_2", "--periodic", "true",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "results.csv")
+        assert "l2_surrogate" in header
+        assert all(float(r["l2_surrogate"]) > 0 for r in rows)
 
     def test_transport_periodic_flag(self, tmp_path):
         rc = cli.main(["transport", "--d", "1", "--n-list", "4,8", "--trials", "1",
@@ -390,6 +425,28 @@ def test_network_path_that_is_a_directory_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload", ['{"neurons": 5}', '[1, 2]', '{"neurons": null}',
+                                     '{"neurons": [[1.0, [0.5], null]]}',
+                                     '{"neurons": [[1.0, [0.5, 1.0], 0.0], [1.0, [0.5], 0.0]]}',
+                                     '{"neurons": [[1.0, {"w": 0.5}, 0.0]]}',
+                                     '{"activation": ["relu"], "neurons": []}'])
+@pytest.mark.parametrize("argv", [["barron", "--mode", "network"],
+                                  ["width", "--t-grid", "1", "--target", "barron"]])
+def test_malformed_network_file_exits_2(argv, payload, tmp_path, capsys):
+    """A --network file that is not an object, or whose neurons are not a
+    list of [a, [w...], b] triples of numbers, is an invalid configuration:
+    `{"neurons": 5}` raised TypeError and `[1, 2]` AttributeError (exit 1),
+    and `{"neurons": null}` ran as an empty network."""
+    path = tmp_path / "net.json"
+    path.write_text(payload)
+    rc = cli.main([*argv, "--network", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "network payload" in err
     assert not (tmp_path / "out").exists()
 
 

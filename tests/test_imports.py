@@ -1,0 +1,47 @@
+"""Every name a ``widthlab`` module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "widthlab"
+
+
+def _imported(tree):
+    """The names bound by the module's imports, except ``__future__``'s."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used(tree):
+    """Names the module reads, in string annotations too, and the names it
+    re-exports through ``__all__``."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            annotations += [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            used.update(e.value for e in node.value.elts)
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    unused = _imported(tree) - _used(tree)
+    assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from widthlab.kernels import (
-    DegreeEigenvalue,
     KernelError,
     KernelSpec,
-    KernelSpectrum,
     QuadratureError,
     UnsupportedDegreeError,
     arccos_kernel,
@@ -22,7 +20,6 @@ from widthlab.kernels import (
     multiplicity,
     ntk_gram,
     nystrom_spectrum,
-    projection_tail_bound,
     uniform_sphere_points,
     zonal_relu_scale,
 )
@@ -171,13 +168,6 @@ class TestMcKernel:
         x, y = rng.standard_normal(4), rng.standard_normal(4)
         assert mc_kernel(spec, x, y, 500, seed=3) == mc_kernel(spec, y, x, 500, seed=3)
 
-    def test_zero_activation_gives_zero(self):
-        spec = KernelSpec(kind="custom_mc", d=2,
-                          sampler=lambda rng, m: (rng.standard_normal((m, 2)), None),
-                          activation=lambda z: np.zeros_like(z))
-        est, se = mc_kernel(spec, [0.3, 0.4], [0.1, 0.9], 200, seed=1)
-        assert est == 0.0 and se == 0.0
-
     def test_rotationally_symmetric_samplers_agree_up_to_constant(self):
         """Uniform-sphere weights reproduce the Gaussian closed form times
         one global constant: ratios are flat across 50 pairs (CV < 2%)."""
@@ -248,14 +238,6 @@ class TestNtkSandwich:
 
 
 class TestNystrom:
-    def test_constant_kernel_is_rank_one(self):
-        spec = KernelSpec(kind="custom_mc", d=3,
-                          sampler=lambda rng, m: (np.zeros((m, 3)), np.ones(m)),
-                          activation=lambda z: np.full_like(z, math.sqrt(0.6)))
-        ev = nystrom_spectrum(spec, n=40, seed=0)
-        assert ev[0] == pytest.approx(0.6, rel=1e-10)
-        assert np.max(np.abs(ev[1:])) < 1e-10
-
     def test_sphere_plateaus_match_tables(self):
         spec = KernelSpec(kind="random_feature_relu_sphere", d=2)
         ev = nystrom_spectrum(spec, n=700, seed=1)
@@ -279,6 +261,12 @@ class TestNystrom:
         spec = KernelSpec(kind="random_feature_relu_sphere", d=2)
         with pytest.raises(KernelError):
             nystrom_spectrum(spec, n=5001)
+
+    @pytest.mark.parametrize("spec", [KernelSpec(kind="random_feature_relu_gaussian", d=3),
+                                      KernelSpec(kind="ntk_relu", d=3, a0=1.0)])
+    def test_only_the_sphere_kind(self, spec):
+        with pytest.raises(KernelError, match="random_feature_relu_sphere"):
+            nystrom_spectrum(spec, n=10)
 
 
 class TestSpectrumAssembly:
@@ -323,21 +311,6 @@ class TestSpectrumAssembly:
         value at zero angle, here the zonal scale itself)."""
         spec = exact_spectrum(2, 40)
         assert spec.trace_sum() == pytest.approx(zonal_relu_scale(2), abs=1e-3)
-
-    def test_projection_tail_bound(self):
-        spectrum = KernelSpectrum(
-            d=2,
-            degrees=[DegreeEigenvalue(0, 1.0, 1), DegreeEigenvalue(1, 0.25, 3),
-                     DegreeEigenvalue(2, 0.04, 5)],
-            flags={},
-        )
-        assert projection_tail_bound(spectrum, 0) == pytest.approx(1.0)
-        # nondecreasing in n while eigenvalues shrink
-        vals = [projection_tail_bound(spectrum, n) for n in range(9)]
-        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[1] == pytest.approx(2.0)
-        with pytest.raises(KernelError):
-            projection_tail_bound(spectrum, 9)
 
     def test_flattened_decay_exponent_d6(self):
         """Flattened sequence decay for d=6 at the proved -(d+3)/(2d) = -0.75.

@@ -7,7 +7,6 @@ from widthlab.transport import (
     CUBE_LINF,
     TORUS_LINF,
     DiscreteMeasure,
-    SmoothedFunctional,
     TorusMetricConfig,
     TransportError,
     ball_intersection_volume,
@@ -16,7 +15,6 @@ from widthlab.transport import (
     default_gamma,
     empirical_w1_rate,
     indicator_sum_l2,
-    smoothed_apply,
     smoothing_l2_surrogate,
     smoothing_operator_constant,
     w1_1d_cdf,
@@ -354,36 +352,7 @@ class TestBalls:
         assert grid_val == pytest.approx(exact, abs=2e-3 * max(exact, 1.0))
 
 
-class TestSmoothedFunctional:
-    def test_constant_exact(self):
-        rng = np.random.default_rng(11)
-        A = SmoothedFunctional.from_points(rng.random((16, 2)))
-        val, se = smoothed_apply(A, lambda P: np.full(P.shape[0], 3.25), 64, seed=1)
-        assert val == pytest.approx(3.25, abs=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-12)
-
-    def test_linear_non_wrapping_ball_recovers_center_value(self):
-        A = SmoothedFunctional(centers=np.array([[0.5, 0.5]]), radius=0.1, gamma=0.1)
-        w = np.array([0.7, -0.3])
-        phi = lambda P: P @ w + 0.2
-        val, se = smoothed_apply(A, phi, quadrature_points=20_000, seed=2)
-        assert abs(val - (0.5 * w.sum() + 0.2)) <= 3 * se + 1e-12
-
-    def test_lipschitz_smoothing_gap(self):
-        """Smoothing moves a 1-Lipschitz value by at most eps * d/(d+1)."""
-        rng = np.random.default_rng(12)
-        centers = rng.random((32, 2))
-        A = SmoothedFunctional.from_points(centers)
-        anchor = np.array([0.3, 0.6])
-        def phi(P):
-            diff = np.abs(P - anchor)
-            diff = np.minimum(diff, 1 - diff)
-            return diff.max(axis=1)
-        val, se = smoothed_apply(A, phi, quadrature_points=4000, seed=3)
-        point_avg = float(np.mean(phi(centers)))
-        factor = A.metric.mean_ball_radius_factor(2)
-        assert abs(val - point_avg) <= A.radius * factor + 3 * se
-
+class TestSmoothingSurrogate:
     def test_surrogate_bounded_uniformly_in_n(self):
         """The realized operator-norm surrogate stays below the dimension
         constant (doubled for sampling slack) for all n at the default scale."""
@@ -399,7 +368,7 @@ class TestSmoothedFunctional:
     def test_default_gamma_keeps_bracket_positive(self):
         for d in (1, 2, 3, 5, 8):
             cov = covering_lower_bound(1, d) / 1.0  # n-free covering constant
-            assert default_gamma(d) * TORUS_LINF.mean_ball_radius_factor(d) < cov
+            assert default_gamma(d) * (d / (d + 1.0)) < cov
 
 
 class TestRateExperiment:
