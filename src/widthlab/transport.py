@@ -85,9 +85,6 @@ class TorusMetricConfig:
             return D.max(axis=2)
         return np.sqrt((D**2).sum(axis=2))
 
-    def distance(self, x, y) -> float:
-        return float(self.pairwise(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
     def unit_ball_volume(self, d: int) -> float:
         """Lebesgue volume of the radius-1 ball for this norm."""
         if self.norm == "ell_inf":
@@ -138,10 +135,6 @@ class DiscreteMeasure:
         points = as_points(points)
         n = points.shape[0]
         return cls(points, np.full(n, 1.0 / n))
-
-    @classmethod
-    def dirac(cls, point) -> "DiscreteMeasure":
-        return cls(np.atleast_2d(np.asarray(point, float)), np.array([1.0]))
 
     @classmethod
     def uniform_grid(cls, d: int, resolution: int) -> "DiscreteMeasure":
@@ -245,26 +238,66 @@ def _warm_pairs(C, v, slack) -> np.ndarray:
 
 
 def _levels(points: np.ndarray, weights: np.ndarray):
-    """Coarse-to-fine copies of a measure as ``(points, weights, spacing)``.
+    """Coarse-to-fine copies of a measure as ``(points, weights, spacing,
+    cell_of)``, where ``cell_of`` maps each atom to the atom of the level
+    before that holds it (all 0 at the first level).
 
     Each coarse copy snaps the atoms to a dyadic cell grid and sums their
     masses at the cell centres (so a midpoint grid coarsens to a midpoint
     grid); spacing is the cell width.  Each level has about four times the
-    cells of the one before, a cell grid serves only while it has at most a
-    quarter as many cells as the measure has atoms, and the last level is the
-    measure itself, whose atoms stand for themselves (spacing 0).
+    cells of the one before, nested in them; a cell grid serves only while
+    it has at most a quarter as many cells as the measure has atoms, and the
+    last level is the measure itself, whose atoms stand for themselves
+    (spacing 0).
     """
     m, d = points.shape
     level, step = (_COARSEST_CELLS.bit_length() - 1) // d, max(1, 2 // d)
-    out = []
+    out, coarse = [], np.zeros(m, dtype=np.int64)
     while m >= _MULTISCALE_MIN_ATOMS and level >= 1 and 4 << (level * d) <= m:
         k = 1 << level
         cells = np.minimum((points * k).astype(np.int64), k - 1)
         cells, inverse = np.unique(cells, axis=0, return_inverse=True)
-        out.append(((cells + 0.5) / k, np.bincount(inverse.ravel(), weights=weights), 1.0 / k))
-        level += step
-    out.append((points, weights, 0.0))
+        inverse = inverse.ravel()
+        cell_of = np.empty(len(cells), dtype=np.int64)
+        cell_of[inverse] = coarse
+        out.append(((cells + 0.5) / k, np.bincount(inverse, weights=weights), 1.0 / k, cell_of))
+        level, coarse = level + step, inverse
+    out.append((points, weights, 0.0, coarse))
     return out
+
+
+def _split_plan(plan, cell_of, a, order, col_rank):
+    """Prolong the coarse plan ``(pairs, flow)``, whose rows are cells, onto
+    the atoms (masses ``a``) of the next level; ``cell_of`` maps each atom to
+    its cell.
+
+    Each coarse arc's flow goes onto the atoms of its cell by a north-west
+    corner: the cell's atoms in ``order`` against its arcs in ``col_rank``
+    order.  One corner runs over both lists, sorted by cell and laid end to
+    end on one mass axis.  Each cell's arcs are anchored to the cell's span
+    of atom mass and the last one ends where the span ends, so the corner
+    never crosses a cell, and the rounding between the two sums of a cell's
+    mass falls on its last arc.  The result meets the fine margins and the
+    coarse flows up to that rounding.  It is a staircase within each cell,
+    so it is a forest when the coarse plan is one.
+    """
+    atoms = order[np.argsort(cell_of[order], kind="stable")]
+    cells = cell_of[atoms]
+    hi_a = np.cumsum(a[atoms])
+    end = hi_a[np.append(cells[1:] != cells[:-1], True)]  # every cell holds an atom
+    start = np.concatenate([[0.0], end[:-1]])
+    pairs, flow = plan
+    arcs = np.lexsort((col_rank[pairs[:, 1]], pairs[:, 0]))
+    rows, flow = pairs[arcs, 0], flow[arcs]
+    sums = np.cumsum(flow)
+    within = sums - (sums - flow)[np.searchsorted(rows, rows)]
+    hi_b = np.minimum(start[rows] + within, end[rows])
+    last = np.append(rows[1:] != rows[:-1], True)
+    hi_b[last] = end[rows[last]]
+    cuts = np.unique(np.concatenate([hi_a, hi_b]))
+    fine = np.stack([atoms[np.searchsorted(hi_a, cuts)],
+                     pairs[arcs[np.searchsorted(hi_b, cuts)], 1]], axis=1)
+    return fine, np.diff(cuts, prepend=0.0)
 
 
 # scipy's status codes for HiGHS's model statuses; every other status is 4
@@ -283,6 +316,7 @@ def _transport_model(a, b, arcs):
     """
     model = highs._Highs()
     model.setOptionValue("output_flag", False)
+    model.setOptionValue("simplex_strategy", 0)  # primal from a feasible basis, else dual
     rhs = np.concatenate([a, b[:-1]])
     empty = np.zeros(0, dtype=np.int32)
     model.addRows(len(rhs), rhs, rhs, 0, empty, empty, np.zeros(0))
@@ -303,9 +337,23 @@ def _add_arcs(model, m, n, arcs):
                   index[keep].astype(np.int32), np.ones(counts.sum()))
 
 
+def _set_basis(model, basic):
+    """Start ``model`` from the columns flagged in ``basic``: an alien basis,
+    which HiGHS completes with row logicals where it is rank deficient."""
+    start = highs.HighsBasis()
+    status = np.full(len(basic), highs.HighsBasisStatus.kLower)
+    status[basic] = highs.HighsBasisStatus.kBasic
+    start.col_status = status
+    start.row_status = [highs.HighsBasisStatus.kLower] * model.getNumRow()
+    start.alien = True
+    if model.setBasis(start) != highs.HighsStatus.kOk:
+        raise OptimizationError("HiGHS rejected the starting basis")
+
+
 def linprog(cost, *, model) -> OptimizeResult:
     """Run HiGHS on ``model`` with ``cost`` as the costs of all its columns,
-    starting from the basis of the model's last run, if it had one.
+    starting from the basis of the model's last run or the basis set on it,
+    if it has one.
 
     Reports as scipy's ``linprog`` does: ``status`` (0 optimal, 1 limit,
     2 infeasible, 3 unbounded, 4 other), ``message``, ``fun``, ``nit`` (the
@@ -325,13 +373,16 @@ def linprog(cost, *, model) -> OptimizeResult:
     return res
 
 
-def _column_generation(C, a, b, pairs):
-    """Optimal cost and column duals ``v`` of the transport LP with cost C.
+def _column_generation(C, a, b, pairs, basic):
+    """Optimal cost, column duals ``v`` and optimal plan of the transport LP
+    with cost C; the plan is ``(pairs, flow)``, its arcs with positive flow.
 
-    Builds one HiGHS model on ``pairs`` and checks the duals of its optimum
-    against every arc.  Arcs with negative reduced cost that the model lacks
-    are appended as new columns, and HiGHS re-optimises from the basis it
-    holds; this repeats until no arc is violated, for at most 60 rounds.
+    Builds one HiGHS model on ``pairs`` and ``basic``, starting from the
+    basis that holds the arcs of ``basic`` (cold if it is None), and checks
+    the duals of its optimum against every arc.  Arcs with negative reduced
+    cost that the model lacks are appended as new columns, and HiGHS
+    re-optimises from the basis it holds; this repeats until no arc is
+    violated, for at most 60 rounds.
 
     HiGHS stops once its duals are feasible to 1e-7, far above
     ``_REDUCED_COST_TOL``, so a violated arc may already be in the model.
@@ -340,8 +391,11 @@ def _column_generation(C, a, b, pairs):
     and it re-optimises from the same basis.
     """
     m, n = C.shape
-    arcs = np.unique(np.ravel_multi_index(pairs.T, C.shape))
+    start = pairs if basic is None else np.concatenate([pairs, basic])
+    arcs = np.unique(np.ravel_multi_index(start.T, C.shape))
     model = _transport_model(a, b, arcs)
+    if basic is not None:
+        _set_basis(model, np.isin(arcs, np.ravel_multi_index(basic.T, C.shape)))
     scale = 1.0
     for _ in range(60):
         lp = linprog(np.take(C, arcs) * scale, model=model)
@@ -354,7 +408,10 @@ def _column_generation(C, a, b, pairs):
         reduced -= v  # in place: the model's memory is still held here
         violated = np.flatnonzero(reduced < -_REDUCED_COST_TOL)
         if violated.size == 0:
-            return float(lp.fun) / scale, v
+            flow = np.array(model.getSolution().col_value)
+            used = flow > 0
+            return float(lp.fun) / scale, v, (np.stack(np.divmod(arcs[used], n), axis=1),
+                                               flow[used])
         if violated.size > 20_000:
             violated = violated[np.argsort(np.take(reduced, violated))[:20_000]]
         new = np.setdiff1d(violated, arcs)
@@ -383,12 +440,18 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     support of a north-west-corner plan along a Hilbert curve, so no
     restricted LP is infeasible.
 
+    Each finer level also starts from the optimal plan of the one before,
+    each coarse arc's flow split onto the atoms of its cell along the
+    Hilbert curves; its arcs are HiGHS's starting basis, primal feasible, so
+    HiGHS re-optimises with the primal simplex.  The coarsest level starts
+    cold, with the dual simplex.
+
     Each level is one HiGHS model, solved by column generation: its optimum
     is certified against *all* arcs through its duals, and violated arcs are
     appended and re-optimised from the last optimal basis until the reduced
     costs are clean.  The result equals the full LP's optimum.  Raises
-    :class:`~widthlab.util.OptimizationError` when HiGHS fails or 60 rounds
-    do not certify a level.
+    :class:`~widthlab.util.OptimizationError` when HiGHS fails or rejects a
+    starting basis, or 60 rounds do not certify a level.
     """
     mu, nu = mu.drop_zero_atoms(), nu.drop_zero_atoms()
     if mu.dim != nu.dim:
@@ -397,12 +460,19 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     big, small = (nu, mu) if swap else (mu, nu)
     b = small.weights
     small_order = _hilbert_order(small.points)
-    v = None
-    for points, a, spacing in _levels(big.points, big.weights):
-        C = metric.pairwise(points, small.points)
+    small_rank = np.argsort(small_order)
+    # every cost matrix is built before the first HiGHS model: the large
+    # temporaries of pairwise would otherwise land on the heap fragments a
+    # solved level leaves, whose size varies from run to run, and set the peak
+    levels = [(metric.pairwise(points, small.points), points, a, spacing, cell_of)
+              for points, a, spacing, cell_of in _levels(big.points, big.weights)]
+    v = plan = None
+    for C, points, a, spacing, cell_of in levels:
+        order = _hilbert_order(points)
         pairs = _initial_pairs(C) if v is None else _warm_pairs(C, v, slack)
-        nw = _north_west_pairs(a, b, _hilbert_order(points), small_order)
-        value, v = _column_generation(C, a, b, np.concatenate([pairs, nw]))
+        nw = _north_west_pairs(a, b, order, small_order)
+        basic = None if plan is None else _split_plan(plan, cell_of, a, order, small_rank)[0]
+        value, v, plan = _column_generation(C, a, b, np.concatenate([pairs, nw]), basic)
         slack = _WARM_SLACK * spacing
     return value
 

@@ -34,8 +34,10 @@ class TestW1Exact:
         for metric in (CUBE_LINF, TORUS_LINF, TorusMetricConfig("ell_2", True)):
             for _ in range(5):
                 x, y = rng.random(3), rng.random(3)
-                got = w1_exact(DiscreteMeasure.dirac(x), DiscreteMeasure.dirac(y), metric)
-                assert got == pytest.approx(metric.distance(x, y), abs=1e-12)
+                got = w1_exact(DiscreteMeasure(np.atleast_2d(x), [1.0]),
+                               DiscreteMeasure(np.atleast_2d(y), [1.0]), metric)
+                assert got == pytest.approx(
+                    metric.pairwise(np.atleast_2d(x), np.atleast_2d(y))[0, 0], abs=1e-12)
 
     def test_identity_is_zero(self):
         mu = random_measure(np.random.default_rng(1), 20, 2)
@@ -103,6 +105,86 @@ class TestW1Exact:
             small = random_measure(rng, n, 1)
             assert w1_exact(big, small, CUBE_LINF) == pytest.approx(
                 w1_1d_cdf(big, small), abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["grid-64x64-vs-256", "scattered-1d-2000"])
+    def test_split_plan_is_a_forest_meeting_both_margins(self, case, monkeypatch):
+        """Each finer level starts from the coarse optimal plan split onto
+        its atoms.  Every split that ``w1_exact`` makes must meet the fine
+        margins and the coarse flows it splits, with nonnegative flows, on at
+        most m+n-1 distinct arcs that form a forest: the rank of a bipartite
+        graph's incidence matrix is its node count less its number of
+        connected components, so it equals the arc count exactly when there
+        is no cycle."""
+        from scipy import sparse
+        from scipy.sparse import csgraph
+
+        from widthlab import transport
+        from widthlab.util import spawn_rng
+
+        if case == "grid-64x64-vs-256":
+            big = DiscreteMeasure.uniform_grid(2, 64)
+            small = DiscreteMeasure.empirical(spawn_rng(20240801, 256, 0).random((256, 2)))
+        else:
+            rng = np.random.default_rng(8)
+            big, small = random_measure(rng, 2000, 1), random_measure(rng, 40, 1)
+        splits = []
+        split_plan = transport._split_plan
+
+        def recorded(plan, cell_of, a, order, col_rank):
+            out = split_plan(plan, cell_of, a, order, col_rank)
+            splits.append((plan, cell_of, a, out))
+            return out
+
+        monkeypatch.setattr(transport, "_split_plan", recorded)
+        w1_exact(big, small, CUBE_LINF)
+        assert len(splits) == len(transport._levels(big.points, big.weights)) - 1 >= 1
+        n = small.size
+        for (coarse, coarse_flow), cell_of, a, (pairs, flow) in splits:
+            m = len(a)
+            assert np.all(flow >= 0)
+            np.testing.assert_allclose(np.bincount(pairs[:, 0], flow, minlength=m), a,
+                                       rtol=0, atol=1e-14)
+            keys, group = np.unique(cell_of[pairs[:, 0]] * n + pairs[:, 1], return_inverse=True)
+            order = np.argsort(coarse[:, 0] * n + coarse[:, 1])
+            np.testing.assert_array_equal(keys, (coarse[:, 0] * n + coarse[:, 1])[order])
+            np.testing.assert_allclose(np.bincount(group.ravel(), flow), coarse_flow[order],
+                                       rtol=0, atol=1e-14)
+            assert len(np.unique(pairs, axis=0)) == len(pairs) <= m + n - 1
+            graph = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], m + pairs[:, 1])),
+                                      shape=(m + n, m + n))
+            components = csgraph.connected_components(graph, directed=False)[0]
+            assert m + n - components == len(pairs)
+
+    def test_finest_level_starts_from_the_split_plan(self, monkeypatch):
+        """On the d=1 4,096-atom grid against 16 atoms, the finest level's
+        first HiGHS run, started from the split coarse plan, takes under a
+        tenth of the simplex iterations of a cold run on the same restricted
+        LP, and the value still matches the CDF formula."""
+        from widthlab import transport
+
+        grid = DiscreteMeasure.uniform_grid(1, 4096)
+        emp = DiscreteMeasure.empirical(np.random.default_rng(13).random((16, 1)))
+        levels, iterations = [], []
+        column_generation, linprog = transport._column_generation, transport.linprog
+
+        def recorded_levels(*args):
+            levels.append((len(iterations), args))
+            return column_generation(*args)
+
+        def counted(cost, **kwargs):
+            res = linprog(cost, **kwargs)
+            iterations.append(res.nit)
+            return res
+
+        monkeypatch.setattr(transport, "_column_generation", recorded_levels)
+        monkeypatch.setattr(transport, "linprog", counted)
+        assert w1_exact(grid, emp, CUBE_LINF) == pytest.approx(w1_1d_cdf(grid, emp), abs=1e-12)
+        first, (C, a, b, pairs, basic) = levels[-1]
+        assert len(levels) == 3 and len(a) == 4096 and basic is not None
+        arcs = np.unique(np.ravel_multi_index(np.concatenate([pairs, basic]).T, C.shape))
+        cold = linprog(np.take(C, arcs), model=transport._transport_model(a, b, arcs))
+        assert cold.status == 0
+        assert iterations[first] < cold.nit / 10
 
     def test_north_west_support_is_feasible_in_any_order(self):
         """The north-west-corner support holds a plan meeting both margins
@@ -214,7 +296,7 @@ class TestW1Exact:
             return linprog(cost, **kwargs)
 
         monkeypatch.setattr(transport, "linprog", counted)
-        value, v = transport._column_generation(C, a, b, pairs)
+        value, v, _ = transport._column_generation(C, a, b, pairs, None)
         assert columns[0] == m + n - 1  # weights in general position
         assert len(columns) >= 3 and columns[-1] > columns[0]
 
@@ -228,7 +310,8 @@ class TestW1Exact:
 
     def test_dimension_mismatch(self):
         with pytest.raises(TransportError):
-            w1_exact(DiscreteMeasure.dirac([0.5]), DiscreteMeasure.dirac([0.5, 0.5]))
+            w1_exact(DiscreteMeasure(np.atleast_2d([0.5]), [1.0]),
+                     DiscreteMeasure(np.atleast_2d([0.5, 0.5]), [1.0]))
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(TransportError):
@@ -275,7 +358,7 @@ class TestCoveringBound:
         # distance from (a grid version of) the uniform measure to a single
         # atom at 1/2 is the integral of |x - 1/2| = 1/4 >= the 1/8 bound
         grid = DiscreteMeasure.uniform_grid(1, 256)
-        w1 = w1_exact(grid, DiscreteMeasure.dirac([0.5]), CUBE_LINF)
+        w1 = w1_exact(grid, DiscreteMeasure(np.atleast_2d([0.5]), [1.0]), CUBE_LINF)
         assert w1 == pytest.approx(0.25, abs=1 / 256)
         assert w1 >= covering_lower_bound(1, 1, CUBE_LINF)
 
