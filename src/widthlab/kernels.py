@@ -22,8 +22,9 @@ The closed form
 (``G`` the gamma function, k >= 2) tabulates the first-order convention:
 ``lambda_k = zonal_relu_scale(d) * eig_k(T)``.  The quadrature oracle
 :func:`funk_hecke_eigenvalue` evaluates the same quantity independently
-(Gauss-Jacobi instead of gamma functions) and is authoritative where the
-two disagree: it vanishes identically for odd k >= 3, where the closed form
+(Gauss-Jacobi instead of gamma functions; each rule is built once per
+process and shared by all degrees) and is authoritative where the two
+disagree: it vanishes identically for odd k >= 3, where the closed form
 does not, and its sign alternates between consecutive even degrees, so every
 k = 0 (mod 4) is negative and flagged "sign".  Degrees 0 and 1 sit outside
 the closed form's validity and are always taken from the oracle.
@@ -38,6 +39,7 @@ operator is symmetric but indefinite at the sign-flagged degrees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,6 +160,16 @@ def gegenbauer_ratio(d: int, k: int, t) -> np.ndarray:
     return special.eval_gegenbauer(k, nu, t) / special.eval_gegenbauer(k, nu, 1.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _jacobi_rule(npts: int, alpha: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights, built once per process and shared by
+    every degree; the arrays are read-only because they are shared."""
+    x, w = special.roots_jacobi(npts, alpha, beta)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _relu_profile_integral(d: int, k: int, npts: int) -> float:
     """``int_0^1 t G_k(t) (1-t^2)^((d-2)/2) dt`` by Gauss-Jacobi.
 
@@ -166,7 +178,7 @@ def _relu_profile_integral(d: int, k: int, npts: int) -> float:
     for even d, where the remaining integrand is polynomial).
     """
     alpha = (d - 2) / 2.0
-    x, w = special.roots_jacobi(npts, alpha, 0.0)
+    x, w = _jacobi_rule(npts, alpha, 0.0)
     t = (x + 1.0) / 2.0
     vals = t * gegenbauer_ratio(d, k, t) * (1.0 + t) ** alpha
     return float(0.5 ** (alpha + 1.0) * np.dot(w, vals))
@@ -175,7 +187,7 @@ def _relu_profile_integral(d: int, k: int, npts: int) -> float:
 def _kernel_profile_integral(d: int, k: int, profile, npts: int) -> float:
     """``int_{-1}^1 prof(t) G_k(t) (1-t^2)^((d-2)/2) dt`` for smooth profiles."""
     alpha = (d - 2) / 2.0
-    x, w = special.roots_jacobi(npts, alpha, alpha)
+    x, w = _jacobi_rule(npts, alpha, alpha)
     vals = np.asarray(profile(x), dtype=float) * gegenbauer_ratio(d, k, x)
     return float(np.dot(w, vals))
 
@@ -193,7 +205,9 @@ def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200,
 
     Two refinement levels are compared; disagreement beyond 1e-6 relative
     raises :class:`QuadratureError` rather than returning a silent
-    wrong digit.
+    wrong digit.  The Gauss-Jacobi rule of each level depends only on
+    ``(quadrature_points, d)``, so it is built once per process and shared
+    by all degrees; the value is the same as with a freshly built rule.
     """
     if d < 1 or k < 0:
         raise KernelError(f"need d >= 1 and k >= 0, got d={d}, k={k}")
@@ -325,10 +339,6 @@ class GramResult:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
-
-    def psd_floor(self) -> float:
-        """Most negative eigenvalue, to compare against -1e-8 * trace."""
-        return float(self.eigenvalues[-1])
 
 
 def _gram_result(K: np.ndarray) -> GramResult:
@@ -467,9 +477,6 @@ class KernelSpectrum:
 
     def trace_sum(self) -> float:
         return float(sum(e.mult * e.value for e in self.degrees))
-
-    def degree_values(self) -> Dict[int, float]:
-        return {e.k: e.value for e in self.degrees}
 
 
 _ORACLE_ZERO_TOL = 1e-12

@@ -5,7 +5,9 @@ from math import pi
 
 import numpy as np
 import pytest
+from scipy import special
 
+from widthlab import kernels
 from widthlab.kernels import (
     KernelError,
     KernelSpec,
@@ -125,6 +127,44 @@ class TestFunkHeckeOracle:
         first_order = funk_hecke_eigenvalue(d, k) / zonal_relu_scale(d)
         assert got == pytest.approx(2 * (d + 1) * first_order**2, rel=1e-6, abs=1e-12)
 
+    def test_each_jacobi_rule_is_built_once(self, monkeypatch):
+        """A spectrum builds its two rules (n and 2n nodes) once, whatever
+        its degree count, and a second spectrum builds none."""
+        calls = []
+        roots_jacobi = special.roots_jacobi
+
+        def counting(*args):
+            calls.append(args)
+            return roots_jacobi(*args)
+
+        monkeypatch.setattr(special, "roots_jacobi", counting)
+        kernels._jacobi_rule.cache_clear()
+        exact_spectrum(6, 40)
+        assert len(calls) == 2
+        exact_spectrum(6, 40)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("npts", [64, 200])
+    def test_shared_rule_values_are_bit_identical(self, npts):
+        def uncached(d, k, npts):
+            alpha = (d - 2) / 2.0
+            x, w = special.roots_jacobi(npts, alpha, 0.0)
+            t = (x + 1.0) / 2.0
+            vals = t * kernels.gegenbauer_ratio(d, k, t) * (1.0 + t) ** alpha
+            return float(0.5 ** (alpha + 1.0) * np.dot(w, vals))
+
+        for d in (2, 3, 6):
+            pref = (d - 1) / (2.0 * pi)
+            for k in range(41):
+                assert kernels._relu_profile_integral(d, k, npts) == uncached(d, k, npts)
+                assert funk_hecke_eigenvalue(d, k, npts) == pref * uncached(d, k, 2 * npts)
+
+    def test_shared_rule_is_read_only(self):
+        x, w = kernels._jacobi_rule(64, 2.0, 0.0)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_refinement_disagreement_raises(self):
         # a cusp at the origin defeats 64-node Jacobi quadrature; the two
         # refinement levels disagree and the disagreement must surface
@@ -224,7 +264,7 @@ class TestNtkSandwich:
         pts = uniform_sphere_points(24, 3, np.random.default_rng(11))
         rep = ntk_gram(pts, a0=1.0, param_samples=4096, seed=12)
         for gram in (rep.k_rf, rep.k_ntk):
-            assert gram.psd_floor() >= -1e-8 * gram.trace
+            assert gram.eigenvalues[-1] >= -1e-8 * gram.trace
 
     def test_mc_kernel_consistent_with_gram_diagonal(self):
         """The two-point Monte-Carlo tangent-kernel estimate agrees with the
@@ -272,7 +312,7 @@ class TestNystrom:
 class TestSpectrumAssembly:
     def test_flags_and_signs_on_s2(self):
         spec = exact_spectrum(2, 8)
-        vals = spec.degree_values()
+        vals = {e.k: e.value for e in spec.degrees}
         assert vals[0] == pytest.approx(1 / (4 * pi), rel=1e-9)
         assert vals[1] == pytest.approx(1 / (6 * pi), rel=1e-9)
         assert vals[2] == pytest.approx(1 / (16 * pi), rel=1e-9)
