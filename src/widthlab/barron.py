@@ -29,7 +29,6 @@ __all__ = [
     "ActivationSpec",
     "TwoLayerNetwork",
     "path_norm",
-    "lipschitz_bound",
     "rademacher_bound",
     "rademacher_estimate",
     "RademacherEstimate",
@@ -52,19 +51,11 @@ class ActivationSpec:
     ``"tanh"`` (bounded sigmoidal, offset 1); both are 1-Lipschitz.
     """
 
-    kind: str = "relu"
+    kind: str
 
     def __post_init__(self):
         if self.kind not in ("relu", "tanh"):
             raise ValueError(f"unknown activation {self.kind!r}")
-
-    @classmethod
-    def relu(cls) -> "ActivationSpec":
-        return cls(kind="relu")
-
-    @classmethod
-    def tanh(cls) -> "ActivationSpec":
-        return cls(kind="tanh")
 
     def apply(self, z):
         if self.kind == "relu":
@@ -78,8 +69,8 @@ class ActivationSpec:
         return np.ones_like(np.asarray(b, dtype=float))
 
 
-RELU = ActivationSpec.relu()
-TANH = ActivationSpec.tanh()
+RELU = ActivationSpec("relu")
+TANH = ActivationSpec("tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -132,44 +123,12 @@ class TwoLayerNetwork:
         return TwoLayerNetwork(self.outer * factor, self.inner.copy(), self.bias.copy(),
                                self.activation, self.averaged)
 
-    def concat(self, other: "TwoLayerNetwork") -> "TwoLayerNetwork":
-        """Union of neuron lists realizing the sum of the two functions.
-
-        For averaged networks the outer weights are rescaled by the width
-        ratios so that evaluation adds exactly; the path norm then adds too.
-        """
-        if self.activation != other.activation or self.averaged != other.averaged:
-            raise ValueError("can only concatenate networks with matching conventions")
-        if self.width == 0:
-            return other
-        if other.width == 0:
-            return self
-        if self.averaged:
-            m = self.width + other.width
-            oa = self.outer * (m / self.width)
-            ob = other.outer * (m / other.width)
-        else:
-            oa, ob = self.outer, other.outer
-        return TwoLayerNetwork(
-            np.concatenate([oa, ob]),
-            np.vstack([self.inner, other.inner]),
-            np.concatenate([self.bias, other.bias]),
-            self.activation, self.averaged,
-        )
-
-    # wire format: {"activation": ..., "averaged": ..., "neurons": [[a, [w...], b], ...]}
-    def to_dict(self) -> dict:
-        return {
-            "activation": self.activation.kind,
-            "averaged": self.averaged,
-            "neurons": [[float(a), [float(v) for v in w], float(b)]
-                        for a, w, b in zip(self.outer, self.inner, self.bias)],
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "TwoLayerNetwork":
-        """Network from its wire format; a malformed payload raises
-        ValueError naming the bad field."""
+        """Network from its wire format,
+        ``{"activation": ..., "averaged": ..., "neurons": [[a, [w...], b], ...]}``;
+        ``averaged`` is a JSON boolean (true when absent).  A malformed
+        payload raises ValueError naming the bad field."""
         if not isinstance(payload, dict):
             raise ValueError(
                 f"a network payload must be a JSON object, not {type(payload).__name__}")
@@ -177,7 +136,10 @@ class TwoLayerNetwork:
         act = {"relu": RELU, "tanh": TANH}.get(kind) if isinstance(kind, str) else None
         if act is None:
             raise ValueError(f"unsupported activation in network payload: {kind!r}")
-        averaged = bool(payload.get("averaged", True))
+        averaged = payload.get("averaged", True)
+        if not isinstance(averaged, bool):
+            raise ValueError(
+                f"network payload: 'averaged' must be true or false, got {averaged!r}")
         neurons = payload.get("neurons")
         bad = ValueError("network payload: 'neurons' must be a list of [a, [w...], b] "
                          "triples of finite numbers")
@@ -208,12 +170,6 @@ def path_norm(net: TwoLayerNetwork, q: int = 1) -> float:
     return total / net.width if net.averaged else total
 
 
-def lipschitz_bound(net: TwoLayerNetwork, q: int = 1) -> float:
-    """Upper bound on the Lipschitz constant w.r.t. the sup norm (q=1
-    duality): the path norm, since both activations are 1-Lipschitz."""
-    return path_norm(net, q=q)
-
-
 # ---------------------------------------------------------------------------
 # Rademacher complexity of the unit path-norm ball
 # ---------------------------------------------------------------------------
@@ -232,9 +188,6 @@ class RademacherEstimate:
     estimate: float            # average of the per-draw suprema
     bound: float               # closed-form bound
     draws: np.ndarray          # per-draw suprema
-    n: int
-    d: int
-    seed: int
 
     @property
     def violations(self) -> int:
@@ -309,11 +262,8 @@ def rademacher_estimate(sample, restarts: int = 16, seed: int = 0,
     for i in range(sign_draws):
         xi = rng.choice([-1.0, 1.0], size=n)
         draws[i] = _sup_relu_draw(X, xi, restarts, rng)
-    return RademacherEstimate(
-        estimate=float(draws.mean()),
-        bound=rademacher_bound(n, d),
-        draws=draws, n=n, d=d, seed=seed,
-    )
+    return RademacherEstimate(estimate=float(draws.mean()),
+                              bound=rademacher_bound(n, d), draws=draws)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,6 @@ _SPECS: Dict[str, List[ParamSpec]] = {
         ParamSpec("beta", float, required=True),
         ParamSpec("c-fast", float, 1.0),
         ParamSpec("c-slow", float, 1.0),
-        ParamSpec("c-slow-upper", float, 1.0),
         ParamSpec("k-max", int, 6, help="number of scales (log-domain, <= 12)",
                   minimum=1),
     ],
@@ -168,11 +167,11 @@ class RunConfig:
 class PlotSpec:
     x: list
     y: list
+    title: str
+    xlabel: str
+    ylabel: str
     slope: Optional[float] = None
     intercept: Optional[float] = None
-    title: str = ""
-    xlabel: str = "x"
-    ylabel: str = "y"
 
 
 @dataclass
@@ -304,8 +303,7 @@ def _run_separation(cfg: RunConfig) -> RunOutput:
 def _run_schedule(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
     params = separation.SeparationParams(
-        alpha=p["alpha"], beta=p["beta"], c_fast=p["c-fast"], c_slow=p["c-slow"],
-        c_slow_upper=p["c-slow-upper"])
+        alpha=p["alpha"], beta=p["beta"], c_fast=p["c-fast"], c_slow=p["c-slow"])
     sched = separation.build_schedule(params, p["k-max"])
     rows = [{"k": e.k, "log2_n": e.log2_n, "log_m": e.log_m, "log_t": e.log_t,
              "effective_exponent": e.effective_exponent,
@@ -391,7 +389,9 @@ def _run_barron(cfg: RunConfig) -> RunOutput:
         row = {"width": net.width, "dim": net.dim,
                "path_norm_q1": barron.path_norm(net, 1),
                "path_norm_q2": barron.path_norm(net, 2),
-               "lipschitz_bound": barron.lipschitz_bound(net)}
+               # every activation is 1-Lipschitz, so the path norm bounds the
+               # Lipschitz constant under the sup norm
+               "lipschitz_bound": barron.path_norm(net, 1)}
         summary = dict(row)
         if net.dim == 1 and net.activation.kind == "relu":
             pl = barron.PiecewiseLinear1D.from_network(net)
@@ -480,7 +480,7 @@ def _run_width(cfg: RunConfig) -> RunOutput:
             rng.random((p["anchor-points"], p["d"])))
     elif p["target"] == "absdist":
         target = widthprobe.TargetFunction.custom(
-            lambda X: np.abs(X[:, 0] - 0.5), 1.0, p["d"])
+            lambda X: np.abs(X[:, 0] - 0.5), p["d"])
     elif p["target"] == "barron":
         if not p["network"]:
             raise ValueError("missing required flag(s): --network")
@@ -625,16 +625,6 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return run(cfg)
-
-
-def run_from_manifest(path, out_dir=None) -> int:
-    """Re-execute a previous run from its manifest (reproduces outputs)."""
-    payload = json.loads(Path(path).read_text())
-    sub = payload["subcommand"]
-    argv = [sub, "--config", str(path)]
-    if out_dir is not None:
-        argv += ["--out", str(out_dir)]
-    return main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lgamma, pi
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import special
@@ -184,24 +184,11 @@ def _relu_profile_integral(d: int, k: int, npts: int) -> float:
     return float(0.5 ** (alpha + 1.0) * np.dot(w, vals))
 
 
-def _kernel_profile_integral(d: int, k: int, profile, npts: int) -> float:
-    """``int_{-1}^1 prof(t) G_k(t) (1-t^2)^((d-2)/2) dt`` for smooth profiles."""
-    alpha = (d - 2) / 2.0
-    x, w = _jacobi_rule(npts, alpha, alpha)
-    vals = np.asarray(profile(x), dtype=float) * gegenbauer_ratio(d, k, x)
-    return float(np.dot(w, vals))
-
-
-def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200,
-                          profile: Optional[Callable] = None,
-                          profile_kind: str = "activation") -> float:
+def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200) -> float:
     """Degree-k eigenvalue by one-dimensional Gegenbauer-weighted quadrature.
 
-    With the default relu activation profile this reproduces the tabulated
-    convention ``(d-1)/(2 pi) * integral`` (signed).  With
-    ``profile_kind="kernel"`` the given zonal kernel profile is integrated
-    against the surface-ratio prefactor, yielding the eigenvalue of the
-    corresponding integral operator on the uniformly-measured sphere.
+    Integrates the relu activation profile, reproducing the tabulated
+    convention ``(d-1)/(2 pi) * integral`` (signed).
 
     Two refinement levels are compared; disagreement beyond 1e-6 relative
     raises :class:`QuadratureError` rather than returning a silent
@@ -214,22 +201,9 @@ def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200,
     if quadrature_points < 64:
         raise KernelError("quadrature_points must be >= 64")
 
-    if profile_kind == "activation":
-        if profile is not None:
-            raise KernelError("custom profiles use profile_kind='kernel'")
-        pref = (d - 1) / (2.0 * pi)
-        coarse = pref * _relu_profile_integral(d, k, quadrature_points)
-        fine = pref * _relu_profile_integral(d, k, 2 * quadrature_points)
-    elif profile_kind == "kernel":
-        if profile is None:
-            raise KernelError("profile_kind='kernel' needs a profile callable")
-        # int (1-t^2)^((d-2)/2) dt = sqrt(pi) G(d/2) / G((d+1)/2), the
-        # surface ratio |S^(d-1)|/|S^d| is its reciprocal
-        pref = math.exp(lgamma((d + 1) / 2) - 0.5 * math.log(pi) - lgamma(d / 2))
-        coarse = pref * _kernel_profile_integral(d, k, profile, quadrature_points)
-        fine = pref * _kernel_profile_integral(d, k, profile, 2 * quadrature_points)
-    else:
-        raise KernelError(f"unknown profile_kind {profile_kind!r}")
+    pref = (d - 1) / (2.0 * pi)
+    coarse = pref * _relu_profile_integral(d, k, quadrature_points)
+    fine = pref * _relu_profile_integral(d, k, 2 * quadrature_points)
 
     scale = max(abs(fine), abs(coarse))
     if scale > 1e-13 and abs(fine - coarse) > 1e-6 * scale:

@@ -46,8 +46,7 @@ class SeparationParams:
     ``alpha``/``c_fast`` bound the operator norm on the fast class from
     above by ``c_fast * n**-alpha``; ``beta``/``c_slow`` bound it on the slow
     class from below by ``c_slow * n**-beta``; ``c_ambient`` bounds it on the
-    ambient space; ``c_slow_upper`` is the uniform upper constant on the slow
-    class used only by the schedule tail estimate.
+    ambient space.
     """
 
     alpha: Number
@@ -55,10 +54,9 @@ class SeparationParams:
     c_fast: Number = 1.0
     c_slow: Number = 1.0
     c_ambient: Number = 1.0
-    c_slow_upper: Number = 1.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "c_fast", "c_slow", "c_ambient", "c_slow_upper"):
+        for name in ("alpha", "beta", "c_fast", "c_slow", "c_ambient"):
             v = getattr(self, name)
             if not v > 0:
                 raise ParameterError(f"{name} must be strictly positive, got {v!r}")
@@ -157,15 +155,6 @@ def width_bound(params: SeparationParams) -> WidthBound:
     return WidthBound(exponent=expo, prefactor=prefactor, threshold_t=c_slow / (2.0 * c_fast))
 
 
-def width_lower_bound(params: SeparationParams, t: float) -> BoundValue:
-    """Evaluate the width lower bound at budget ``t``.
-
-    Below the validity threshold the bound carries no information; callers
-    sweeping t ranges get 0 plus a flag rather than an exception.
-    """
-    return width_bound(params).evaluate(t)
-
-
 # ---------------------------------------------------------------------------
 # Multi-scale schedule
 # ---------------------------------------------------------------------------
@@ -237,21 +226,11 @@ class TailBound:
     """Rigorous upper bound on ``n_k * sum_{l>k} 1/n_l`` in log2 form.
 
     The raw value underflows float64 from k=4 on, so consumers compare
-    ``log2`` values.  ``value`` materializes the float (0.0 on underflow).
+    ``log2`` values.
     """
 
     k: int
     log2: float
-
-    @property
-    def value(self) -> float:
-        if self.log2 < -1074:  # below the smallest subnormal
-            return 0.0
-        return float(2.0**self.log2)
-
-    @property
-    def underflows(self) -> bool:
-        return self.log2 < -1074
 
 
 def tail_sum_bound(k: int) -> TailBound:

@@ -21,8 +21,8 @@ def _decades(lo: float, hi: float):
 
 
 def loglog_plot_svg(x: Sequence[float], y: Sequence[float],
-                    slope: Optional[float] = None, intercept: Optional[float] = None,
-                    title: str = "", xlabel: str = "x", ylabel: str = "y") -> str:
+                    slope: Optional[float], intercept: Optional[float],
+                    title: str, xlabel: str, ylabel: str) -> str:
     """Log-log scatter with decade ticks and an optional fitted line.
 
     ``slope``/``intercept`` describe ``log y = slope * log x + intercept``

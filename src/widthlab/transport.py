@@ -661,9 +661,6 @@ class RateTrial:
 @dataclass
 class RateReport:
     d: int
-    grid_resolution: int
-    metric: TorusMetricConfig
-    seed: int
     trials: List[RateTrial]
     mean_w1: dict
     slope: float
@@ -718,8 +715,7 @@ def empirical_w1_rate(d: int, n_values: Sequence[int], trials: int,
     slope, intercept, stderr = fit_loglog(list(mean_w1.keys()), list(mean_w1.values()))
     spacing = 1.0 / grid_resolution
     disc = spacing / 2.0 if metric.norm == "ell_inf" else math.sqrt(d) * spacing / 2.0
-    return RateReport(d=d, grid_resolution=grid_resolution, metric=metric, seed=seed,
-                      trials=results, mean_w1=mean_w1, slope=slope, slope_stderr=stderr,
+    return RateReport(d=d, trials=results, mean_w1=mean_w1, slope=slope, slope_stderr=stderr,
                       intercept=intercept, grid_spacing=spacing, discretization_error=disc,
                       smoothing_gamma=gamma,
                       smoothing_operator_constant=smoothing_operator_constant(d, gamma))

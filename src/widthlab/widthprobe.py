@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .barron import RELU, OptimizationError, TwoLayerNetwork, lipschitz_bound, path_norm
+from .barron import RELU, OptimizationError, TwoLayerNetwork, path_norm
 from .util import fit_loglog, midpoint_grid, spawn_rng
 
 __all__ = [
@@ -52,12 +52,11 @@ class TargetError(ValueError):
 
 @dataclass
 class TargetFunction:
-    """Evaluable target on [0,1]^d with a declared sup-norm Lipschitz constant."""
+    """Evaluable Lipschitz target on [0,1]^d."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
     d: int
-    kind: str = "custom"
+    kind: str
 
     @classmethod
     def distance_to_point_set(cls, points) -> "TargetFunction":
@@ -69,31 +68,15 @@ class TargetFunction:
             X = np.atleast_2d(np.asarray(X, dtype=float))
             return np.min(np.max(np.abs(X[:, None, :] - pts[None, :, :]), axis=2), axis=1)
 
-        return cls(fn=fn, lipschitz=1.0, d=pts.shape[1], kind="distance_to_point_set")
+        return cls(fn=fn, d=pts.shape[1], kind="distance_to_point_set")
 
     @classmethod
     def barron_explicit(cls, net: TwoLayerNetwork) -> "TargetFunction":
-        return cls(fn=lambda X: net.evaluate(X), lipschitz=lipschitz_bound(net),
-                   d=net.dim, kind="barron_explicit")
+        return cls(fn=lambda X: net.evaluate(X), d=net.dim, kind="barron_explicit")
 
     @classmethod
-    def custom(cls, fn, lipschitz_constant: float, d: int) -> "TargetFunction":
-        return cls(fn=fn, lipschitz=float(lipschitz_constant), d=d, kind="custom")
-
-    def verify_lipschitz(self, seed: int = 0):
-        """Check the declared constant on 10^4 random pairs, up to a 1e-9
-        slack; raise on violation."""
-        rng = spawn_rng(seed)
-        X = rng.random((10_000, self.d))
-        Y = rng.random((10_000, self.d))
-        num = np.abs(np.asarray(self.fn(X)) - np.asarray(self.fn(Y)))
-        den = np.max(np.abs(X - Y), axis=1)
-        ok = num <= self.lipschitz * den * (1 + 1e-9) + 1e-9
-        if not np.all(ok):
-            worst = float(np.max(num / np.maximum(den, 1e-300)))
-            raise TargetError(
-                f"declared Lipschitz constant {self.lipschitz} violated: observed {worst}")
-        return True
+    def custom(cls, fn, d: int) -> "TargetFunction":
+        return cls(fn=fn, d=d, kind="custom")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +159,7 @@ def _relu_loss(a, W, b, X, y, grad=False):
     return loss, act, (act.T @ g_common, mask.T @ X, mask.sum(axis=0))
 
 
-def _lbfgs_polish(a, W, b, X, y, maxiter=300):
+def _lbfgs_polish(a, W, b, X, y, maxiter):
     """Unconstrained quasi-Newton refinement; callers re-project afterwards."""
     m, d = W.shape
 

@@ -12,7 +12,6 @@ from widthlab.barron import (
     TwoLayerNetwork,
     bv_norm_1d,
     canonical_network_1d,
-    lipschitz_bound,
     path_norm,
     rademacher_bound,
     rademacher_estimate,
@@ -60,24 +59,16 @@ class TestPathNorm:
         assert path_norm(net) == pytest.approx(4.0)
 
     def test_lipschitz_bound_on_random_pairs(self):
+        """The path norm bounds the Lipschitz constant under the sup norm."""
         rng = np.random.default_rng(2)
         for _ in range(20):
             net = random_relu_net(rng, d=4, width=8)
-            L = lipschitz_bound(net)
+            L = path_norm(net)
             X = rng.uniform(-1, 1, (50, 4))
             Y = rng.uniform(-1, 1, (50, 4))
             lhs = np.abs(net.evaluate(X) - net.evaluate(Y))
             rhs = L * np.max(np.abs(X - Y), axis=1)
             assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
-
-    def test_concat_adds_values_and_norms(self):
-        rng = np.random.default_rng(3)
-        n1, n2 = random_relu_net(rng, d=2, width=3), random_relu_net(rng, d=2, width=5)
-        cat = n1.concat(n2)
-        X = rng.uniform(-1, 1, (32, 2))
-        np.testing.assert_allclose(cat.evaluate(X), n1.evaluate(X) + n2.evaluate(X), rtol=1e-12)
-        assert path_norm(cat) <= path_norm(n1) + path_norm(n2) + 1e-12
-        assert path_norm(cat) == pytest.approx(path_norm(n1) + path_norm(n2), rel=1e-12)
 
     def test_relu_positive_homogeneity_numeric(self):
         z = np.random.default_rng(4).standard_normal(100)
@@ -85,10 +76,17 @@ class TestPathNorm:
             np.testing.assert_allclose(RELU.apply(lam * z), lam * RELU.apply(z), rtol=1e-15)
 
     def test_wire_format_roundtrip(self):
-        rng = np.random.default_rng(5)
-        net = random_relu_net(rng, d=3, width=4)
-        clone = TwoLayerNetwork.from_dict(net.to_dict())
-        X = rng.uniform(-1, 1, (16, 3))
+        net = TwoLayerNetwork([2.0, -1.5, 0.5], [[1.0, 0.0, -0.5], [0.25, 1.0, 0.0],
+                                                 [-1.0, 0.5, 2.0]],
+                              [-1.0, 0.25, 0.0], RELU, averaged=True)
+        clone = TwoLayerNetwork.from_dict(
+            {"activation": "relu", "averaged": True,
+             "neurons": [[2.0, [1.0, 0.0, -0.5], -1.0], [-1.5, [0.25, 1.0, 0.0], 0.25],
+                         [0.5, [-1.0, 0.5, 2.0], 0.0]]})
+        for field in ("outer", "inner", "bias"):
+            np.testing.assert_array_equal(getattr(clone, field), getattr(net, field))
+        assert (clone.activation, clone.averaged) == (net.activation, net.averaged)
+        X = np.random.default_rng(5).uniform(-1, 1, (16, 3))
         np.testing.assert_allclose(net.evaluate(X), clone.evaluate(X), rtol=0, atol=0)
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab import cli
-from widthlab.barron import RELU, TwoLayerNetwork
 from widthlab.transport import default_gamma, smoothing_l2_surrogate, smoothing_operator_constant
 from widthlab.util import spawn_rng
 
@@ -54,8 +53,8 @@ class TestSeparationCommand:
         cli.main(["separation", "--alpha", "0.5", "--beta", "0.125",
                   "--t", "3.7", "--out", str(tmp_path)])
         _, rows = read_csv(tmp_path / "results.csv")
-        from widthlab.separation import SeparationParams, width_lower_bound
-        expect = width_lower_bound(SeparationParams(alpha=0.5, beta=0.125), 3.7).value
+        from widthlab.separation import SeparationParams, width_bound
+        expect = width_bound(SeparationParams(alpha=0.5, beta=0.125)).evaluate(3.7).value
         assert float(rows[0]["bound"]) == expect  # 17 digits: bit-exact roundtrip
 
 
@@ -74,7 +73,8 @@ class TestDeterminismAndManifest:
         rc = cli.main(["schedule", "--alpha", "1.0", "--beta", "0.25",
                        "--k-max", "5", "--seed", "3", "--out", str(first)])
         assert rc == 0
-        rc = cli.run_from_manifest(first / "manifest.json", out_dir=second)
+        rc = cli.main(["schedule", "--config", str(first / "manifest.json"),
+                       "--out", str(second)])
         assert rc == 0
         assert (first / "results.csv").read_bytes() == (second / "results.csv").read_bytes()
         assert (first / "results.json").read_bytes() == (second / "results.json").read_bytes()
@@ -86,6 +86,18 @@ class TestDeterminismAndManifest:
         assert manifest["subcommand"] == "schedule"
         assert manifest["parameters"]["alpha"] == 1.0
         assert manifest["parameters"]["k-max"] == 6  # default recorded
+
+    def test_removed_c_slow_upper_key_rejected(self, tmp_path, capsys):
+        """``c-slow-upper`` fed no computation and is no longer a parameter: a
+        config file naming it (as older schedule manifests do) exits 2."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subcommand": "schedule",
+                                   "parameters": {"alpha": 1.0, "beta": 0.25,
+                                                  "c-slow-upper": 1.0}}))
+        rc = cli.main(["schedule", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'c-slow-upper'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -217,10 +229,9 @@ class TestSubcommandSmoke:
         assert all(float(r["sup"]) <= float(r["bound"]) for r in rows)
 
     def test_barron_network_mode(self, tmp_path):
-        net = TwoLayerNetwork([1.0, -1.0], [[1.0], [1.0]], [-0.25, -0.75],
-                              RELU, averaged=False)
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(net.to_dict()))
+        path.write_text(json.dumps({"activation": "relu", "averaged": False,
+                                    "neurons": [[1.0, [1.0], -0.25], [-1.0, [1.0], -0.75]]}))
         rc = cli.main(["barron", "--mode", "network", "--network", str(path),
                        "--out", str(tmp_path)])
         assert rc == 0
@@ -251,6 +262,18 @@ class TestSubcommandSmoke:
         assert header == ["t", "error", "error_se"]
         errs = [float(r["error"]) for r in rows]
         assert errs[1] <= errs[0] + 1e-12
+
+    def test_quadrature_failure_exits_3(self, tmp_path, capsys):
+        """A 64-node rule is exact up to degree 127 and the 128-node rule up
+        to 255; at d=6 the relu integrand has degree k+3, so the two levels
+        part at degree 156 and the run is a numerical failure."""
+        rc = cli.main(["kernels", "--d", "6", "--degrees", "200",
+                       "--quadrature-points", "64", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err
+        assert "(d=6, k=156)" in err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_numerical_failure_exit_code(self, monkeypatch, tmp_path):
         def boom(cfg):
@@ -447,6 +470,21 @@ def test_malformed_network_file_exits_2(argv, payload, tmp_path, capsys):
     assert rc == 2
     assert "Traceback" not in err
     assert "network payload" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("averaged", ['"false"', "null", "0"])
+def test_network_averaged_must_be_a_boolean(averaged, tmp_path, capsys):
+    """``averaged`` is a JSON boolean: the string "false" used to read as
+    true (path_norm_q1 2 instead of 4 on this network) and null as false."""
+    path = tmp_path / "net.json"
+    path.write_text('{"averaged": %s, "neurons": [[2, [1], -0.5], [1, [1], 0]]}' % averaged)
+    rc = cli.main(["barron", "--mode", "network", "--network", str(path),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "'averaged'" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -45,3 +45,32 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     unused = _imported(tree) - _used(tree)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+#: Settable values in ``src/widthlab``: parameters with a default plus
+#: dataclass fields with a default.  A change that adds a knob raises this
+#: pin in plain view; one that removes knobs lowers it.
+MAX_SETTABLE_VALUES = 60
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _settable_values(tree):
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    count = sum(_settable_values(ast.parse(p.read_text())) for p in SRC.glob("*.py"))
+    assert count <= MAX_SETTABLE_VALUES, (
+        f"src/widthlab has {count} settable values, more than {MAX_SETTABLE_VALUES}")

@@ -28,6 +28,17 @@ from widthlab.kernels import (
 from widthlab.util import fit_loglog
 
 
+def kernel_profile_eigenvalue(d, k, profile):
+    """Degree-k eigenvalue of the zonal kernel ``profile(x.y)`` on the
+    uniformly measured S^d: the surface ratio ``|S^(d-1)|/|S^d|`` times
+    ``int profile(t) G_k(t) (1-t^2)^((d-2)/2) dt``, on the shared 400-node
+    Gauss-Jacobi rule."""
+    alpha = (d - 2) / 2.0
+    x, w = kernels._jacobi_rule(400, alpha, alpha)
+    ratio = math.exp(math.lgamma((d + 1) / 2) - 0.5 * math.log(pi) - math.lgamma(d / 2))
+    return ratio * float(np.dot(w, profile(x) * kernels.gegenbauer_ratio(d, k, x)))
+
+
 class TestMultiplicity:
     def test_degree_one_is_ambient_dimension(self):
         for d in range(1, 11):
@@ -110,10 +121,9 @@ class TestFunkHeckeOracle:
     def test_constant_kernel_profile_orthogonality(self):
         """A constant zonal kernel has eigenvalue c at degree 0 and 0 above."""
         prof = lambda t: np.full_like(np.asarray(t, float), 0.7)
-        assert funk_hecke_eigenvalue(3, 0, profile=prof, profile_kind="kernel") == \
-            pytest.approx(0.7, rel=1e-12)
+        assert kernel_profile_eigenvalue(3, 0, prof) == pytest.approx(0.7, rel=1e-12)
         for k in (1, 2, 5):
-            assert abs(funk_hecke_eigenvalue(3, k, profile=prof, profile_kind="kernel")) < 1e-12
+            assert abs(kernel_profile_eigenvalue(3, k, prof)) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
@@ -123,7 +133,7 @@ class TestFunkHeckeOracle:
         operator with itself squares the spectrum."""
         prof = lambda t: np.array([arccos_kernel(math.acos(min(1.0, max(-1.0, v))))
                                    for v in np.atleast_1d(t)])
-        got = funk_hecke_eigenvalue(d, k, profile=prof, profile_kind="kernel")
+        got = kernel_profile_eigenvalue(d, k, prof)
         first_order = funk_hecke_eigenvalue(d, k) / zonal_relu_scale(d)
         assert got == pytest.approx(2 * (d + 1) * first_order**2, rel=1e-6, abs=1e-12)
 
@@ -166,12 +176,11 @@ class TestFunkHeckeOracle:
                 arr[0] = 0.0
 
     def test_refinement_disagreement_raises(self):
-        # a cusp at the origin defeats 64-node Jacobi quadrature; the two
-        # refinement levels disagree and the disagreement must surface
-        rough = lambda t: np.abs(np.asarray(t, float)) ** 0.1
+        # at d=6 the relu integrand is a polynomial of degree k+3: the
+        # 64-node rule is exact only to degree 127 and the 128-node rule to
+        # 255, so at k=200 the two levels disagree and that must surface
         with pytest.raises(QuadratureError):
-            funk_hecke_eigenvalue(3, 6, quadrature_points=64,
-                                  profile=rough, profile_kind="kernel")
+            funk_hecke_eigenvalue(6, 200, quadrature_points=64)
 
 
 class TestArccosKernel:

@@ -17,6 +17,7 @@ from widthlab.widthprobe import (
     rho_curve,
 )
 from widthlab.widthprobe import _relu_loss
+from widthlab.util import spawn_rng
 
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
 
@@ -26,23 +27,29 @@ def make_target_net(rng, d, width=3):
                            rng.uniform(-0.5, 0.5, width), RELU, averaged=True)
 
 
+def holds_lipschitz(target, L, seed):
+    """``|f(x) - f(y)| <= L |x - y|_inf`` on 10^4 random pairs of the cube,
+    up to a 1e-9 slack."""
+    rng = spawn_rng(seed)
+    X = rng.random((10_000, target.d))
+    Y = rng.random((10_000, target.d))
+    num = np.abs(np.asarray(target.fn(X)) - np.asarray(target.fn(Y)))
+    den = np.max(np.abs(X - Y), axis=1)
+    return bool(np.all(num <= L * den * (1 + 1e-9) + 1e-9))
+
+
 class TestTargets:
     def test_distance_target_is_one_lipschitz(self):
         rng = np.random.default_rng(0)
         target = TargetFunction.distance_to_point_set(rng.random((5, 3)))
-        assert target.verify_lipschitz(seed=1)
-
-    def test_wrong_declared_constant_raises(self):
-        target = TargetFunction.custom(lambda X: 5.0 * X[:, 0], 1.0, 1)
-        with pytest.raises(TargetError):
-            target.verify_lipschitz(seed=2)
+        assert holds_lipschitz(target, 1.0, seed=1)
 
     def test_barron_target_constant_from_path_norm(self):
         rng = np.random.default_rng(1)
         net = make_target_net(rng, 2)
         target = TargetFunction.barron_explicit(net)
-        assert target.lipschitz == pytest.approx(path_norm(net))
-        assert target.verify_lipschitz(seed=3)
+        assert target.d == 2
+        assert holds_lipschitz(target, path_norm(net), seed=3)
 
 
 class TestProjection:
@@ -144,7 +151,7 @@ class TestReluLoss:
 
 class TestFitConstrained:
     def test_zero_budget_returns_zero_network(self):
-        target = TargetFunction.custom(lambda X: np.abs(X[:, 0] - 0.5), 1.0, 1)
+        target = TargetFunction.custom(lambda X: np.abs(X[:, 0] - 0.5), 1)
         res = fit_constrained(target, t=0.0, width=8, config=FAST, seed=0)
         assert path_norm(res.net) == 0.0
         # error equals the target's L2 norm on the quadrature set
@@ -169,7 +176,7 @@ class TestFitConstrained:
     def test_absolute_distance_two_neuron_budget(self):
         """|x - 1/2| has an exact 2-neuron form with path norm 3, so budgets
         beyond 3 drive the error to optimizer precision."""
-        target = TargetFunction.custom(lambda X: np.abs(X[:, 0] - 0.5), 1.0, 1)
+        target = TargetFunction.custom(lambda X: np.abs(X[:, 0] - 0.5), 1)
         cfg = FitConfig(steps=400, restarts=3, quadrature=("mc", 2048), polish_iters=300)
         res = fit_constrained(target, t=3.0, width=24, config=cfg, seed=3)
         assert res.error <= 1e-3
@@ -181,7 +188,7 @@ class TestFitConstrained:
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     def test_non_finite_budget_rejected(self, t):
-        target = TargetFunction.custom(lambda X: X[:, 0], 1.0, 1)
+        target = TargetFunction.custom(lambda X: X[:, 0], 1)
         with pytest.raises(TargetError, match="finite"):
             fit_constrained(target, t=t, width=4, config=FAST, seed=0)
 
@@ -204,7 +211,7 @@ class TestRhoCurve:
         assert a.fitted_exponent == b.fitted_exponent
 
     def test_grid_must_increase(self):
-        target = TargetFunction.custom(lambda X: X[:, 0], 1.0, 1)
+        target = TargetFunction.custom(lambda X: X[:, 0], 1)
         with pytest.raises(TargetError):
             rho_curve(target, [1.0, 0.5], width=4, config=FAST, seed=6)
 
