@@ -80,25 +80,33 @@ class ParamSpec:
     minimum: Optional[int] = None  # lower bound on the value, or on each element
 
 
-_SPECS: Dict[str, List[ParamSpec]] = {
-    "separation": [
+_SELECTORS = {"barron": "mode", "kernels": "kind", "width": "target"}
+_WIDTH_FIT = [
+    ParamSpec("t-grid", _parse_float_list, required=True),
+    ParamSpec("width", int, 64, minimum=1),
+    ParamSpec("restarts", int, 6, minimum=1),
+    ParamSpec("steps", int, 600, minimum=1),
+    ParamSpec("quad", int, 2048, minimum=1),
+]
+#: subcommand -> choice of its ``_SELECTORS`` flag (None if it has none) -> the
+#: flags that choice reads.  The first choice listed is the default.
+_SPECS: Dict[str, Dict[Optional[str], List[ParamSpec]]] = {
+    "separation": {None: [
         ParamSpec("alpha", float, required=True, help="fast-class rate exponent"),
         ParamSpec("beta", float, required=True, help="slow-class rate exponent"),
         ParamSpec("c-fast", float, 1.0, help="fast-class constant"),
         ParamSpec("c-slow", float, 1.0, help="slow-class constant"),
         ParamSpec("c-ambient", float, 1.0, help="ambient constant"),
-        ParamSpec("t", _parse_float_list, required=True,
-                  help="comma-separated budget values"),
-    ],
-    "schedule": [
+        ParamSpec("t", _parse_float_list, required=True, help="comma-separated budget values"),
+    ]},
+    "schedule": {None: [
         ParamSpec("alpha", float, required=True),
         ParamSpec("beta", float, required=True),
         ParamSpec("c-fast", float, 1.0),
         ParamSpec("c-slow", float, 1.0),
-        ParamSpec("k-max", int, 6, help="number of scales (log-domain, <= 12)",
-                  minimum=1),
-    ],
-    "transport": [
+        ParamSpec("k-max", int, 6, help="number of scales (log-domain, <= 12)", minimum=1),
+    ]},
+    "transport": {None: [
         ParamSpec("d", int, required=True, minimum=1),
         ParamSpec("n-list", _parse_int_list, required=True,
                   help="comma-separated empirical sizes", minimum=1),
@@ -108,38 +116,53 @@ _SPECS: Dict[str, List[ParamSpec]] = {
         ParamSpec("norm", str, "ell_inf"),
         ParamSpec("periodic", _parse_bool, False,
                   help="wrap coordinates (flat torus) instead of the plain cube"),
-    ],
-    "barron": [
-        ParamSpec("mode", str, "rademacher", help="rademacher | network"),
-        ParamSpec("d", int, 2, minimum=1),
-        ParamSpec("n-list", _parse_int_list, [16, 64, 256, 1024], minimum=1),
-        ParamSpec("sign-draws", int, 32, minimum=1),
-        ParamSpec("restarts", int, 16, minimum=1),
-        ParamSpec("network", str, None, help="network JSON file (mode=network)"),
-    ],
-    "kernels": [
-        ParamSpec("kind", str, "random_feature_relu_sphere"),
-        ParamSpec("d", int, required=True, help="sphere dimension (inputs in R^(d+1))",
-                  minimum=1),
-        ParamSpec("degrees", int, 12, minimum=0),
-        ParamSpec("n", int, 0, help="Nystrom points (0 = skip)", minimum=0),
-        ParamSpec("a0", float, 1.0),
-        ParamSpec("samples", int, 8192, help="Monte-Carlo feature samples", minimum=1),
-        ParamSpec("quadrature-points", int, 200, minimum=64),
-    ],
-    "width": [
-        ParamSpec("target", str, "distance", help="distance | absdist | barron"),
-        ParamSpec("d", int, 2, minimum=1),
-        ParamSpec("t-grid", _parse_float_list, required=True),
-        ParamSpec("width", int, 64, minimum=1),
-        ParamSpec("restarts", int, 6, minimum=1),
-        ParamSpec("steps", int, 600, minimum=1),
-        ParamSpec("quad", int, 2048, minimum=1),
-        ParamSpec("anchor-points", int, 3, help="anchors of the distance target",
-                  minimum=1),
-        ParamSpec("network", str, None, help="target network JSON (target=barron)"),
-    ],
+    ]},
+    "barron": {
+        "rademacher": [
+            ParamSpec("d", int, 2, minimum=1),
+            ParamSpec("n-list", _parse_int_list, [16, 64, 256, 1024], minimum=1),
+            ParamSpec("sign-draws", int, 32, minimum=1),
+            ParamSpec("restarts", int, 16, minimum=1),
+        ],
+        "network": [ParamSpec("network", str, required=True, help="network JSON file")],
+    },
+    "kernels": {
+        "random_feature_relu_sphere": [
+            ParamSpec("d", int, required=True, help="sphere dimension (inputs in R^(d+1))",
+                      minimum=1),
+            ParamSpec("degrees", int, 12, minimum=0),
+            ParamSpec("n", int, 0, help="Nystrom points (0 = skip)", minimum=0),
+            ParamSpec("quadrature-points", int, 200, minimum=64),
+        ],
+        "random_feature_relu_gaussian": [
+            ParamSpec("d", int, required=True, minimum=2),
+            ParamSpec("samples", int, 8192, help="Monte-Carlo feature samples", minimum=1),
+        ],
+        "ntk_relu": [
+            ParamSpec("d", int, required=True, minimum=1),
+            ParamSpec("n", int, 32, help="Gram points", minimum=1),
+            ParamSpec("a0", float, 1.0),
+            ParamSpec("samples", int, 8192, minimum=1),
+        ],
+    },
+    "width": {
+        "distance": [ParamSpec("d", int, 2, minimum=1),
+                     ParamSpec("anchor-points", int, 3, help="anchors of the distance target",
+                               minimum=1), *_WIDTH_FIT],
+        "absdist": [ParamSpec("d", int, 2, minimum=1), *_WIDTH_FIT],
+        "barron": [ParamSpec("network", str, required=True, help="target network JSON"),
+                   *_WIDTH_FIT],
+    },
 }
+
+
+def _flags(subcommand: str) -> Dict[str, ParamSpec]:
+    """Every flag some choice of ``subcommand`` reads, its selector first."""
+    choices, selector = _SPECS[subcommand], _SELECTORS.get(subcommand)
+    flags = {selector: ParamSpec(selector, str, help=" | ".join(choices))} if selector else {}
+    for specs in choices.values():
+        flags.update((s.name, s) for s in specs if s.name not in flags)
+    return flags
 
 
 @dataclass
@@ -185,9 +208,10 @@ class RunOutput:
 def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str],
                    seed: Optional[int], out: Optional[str], plots: Optional[bool],
                    threads: Optional[int]) -> RunConfig:
-    """defaults < config file < explicit CLI flags, with required checks."""
-    specs = _SPECS[subcommand]
-    resolved = {s.name: s.default for s in specs}
+    """defaults < config file < explicit CLI flags, with required checks.  A
+    run reads only the flags of its selector's choice; any other exits 2."""
+    flags = _flags(subcommand)
+    given = {}
     file_seed = file_out = file_plots = file_threads = None
     if config_path:
         payload = json.loads(Path(config_path).read_text())
@@ -197,12 +221,11 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
             raise ValueError(
                 f"config file is for subcommand {payload['subcommand']!r}, "
                 f"not {subcommand!r}")
-        byname = {s.name: s for s in specs}
         for key, val in payload.get("parameters", {}).items():
-            if key not in byname:
+            if key not in flags:
                 raise ValueError(f"unknown parameter {key!r} in config file")
             try:
-                resolved[key] = _parse_json_value(byname[key], val)
+                given[key] = _parse_json_value(flags[key], val)
             except (TypeError, ValueError, OverflowError) as exc:  # e.g. int(Infinity)
                 raise ValueError(f"--{key} in the config file: {exc}") from None
         file_seed = payload.get("seed")
@@ -214,17 +237,22 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
         if file_plots is not None and not isinstance(file_plots, bool):
             raise ValueError(
                 f"emit_plots in the config file must be true or false, got {file_plots!r}")
-    for key, val in cli_params.items():
-        if val is not None:
-            resolved[key] = val
-    missing = [s.name for s in specs if s.required and resolved[s.name] is None]
+    given.update((key, val) for key, val in cli_params.items() if val is not None)
+    choices, selector = _SPECS[subcommand], _SELECTORS.get(subcommand)
+    choice = given.pop(selector, next(iter(choices)))
+    if choice not in choices:
+        raise ValueError(f"--{selector} must be one of {tuple(choices)}, got {choice!r}")
+    specs = choices[choice]
+    resolved = {s.name: given.pop(s.name, s.default) for s in specs}
+    if given:  # flags or config keys that the choice does not read
+        raise ValueError(f"{subcommand} --{selector} {choice} does not read "
+                         + ", ".join(f"--{key}" for key in given))
+    # a config-file null, and an empty list (`--t ,` or "t": []), count as missing
+    missing = [s.name for s in specs if resolved[s.name] in (None, [])]
     if missing:
-        raise ValueError(
-            "missing required flag(s): " + ", ".join(f"--{name}" for name in missing))
+        raise ValueError("missing required flag(s): " + ", ".join(f"--{n}" for n in missing))
     for s in specs:
         value = resolved[s.name]
-        if value is None:
-            continue
         values = value if isinstance(value, list) else [value]
         if s.minimum is not None and any(v < s.minimum for v in values):
             raise ValueError(f"--{s.name} must be >= {s.minimum}, got {value}")
@@ -232,7 +260,7 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
             raise ValueError(f"--{s.name} must be finite, got {value}")
     return RunConfig(
         subcommand=subcommand,
-        parameters=resolved,
+        parameters={selector: choice, **resolved} if selector else resolved,
         seed=_run_setting("seed", seed, file_seed, 0),
         output_dir=out if out is not None else (file_out or "."),
         emit_plots=plots if plots is not None else bool(file_plots),
@@ -381,38 +409,28 @@ def _run_barron(cfg: RunConfig) -> RunOutput:
                         title="signed-mean complexity", xlabel="n", ylabel="estimate")
         return RunOutput(header=["d", "n", "draw", "sup", "bound"], rows=rows,
                          summary=summary, plot=plot)
-    if p["mode"] == "network":
-        if not p["network"]:
-            raise ValueError("missing required flag(s): --network")
-        net = barron.TwoLayerNetwork.from_dict(
-            json.loads(Path(p["network"]).read_text()))
-        row = {"width": net.width, "dim": net.dim,
-               "path_norm_q1": barron.path_norm(net, 1),
-               "path_norm_q2": barron.path_norm(net, 2),
-               # every activation is 1-Lipschitz, so the path norm bounds the
-               # Lipschitz constant under the sup norm
-               "lipschitz_bound": barron.path_norm(net, 1)}
-        summary = dict(row)
-        if net.dim == 1 and net.activation.kind == "relu":
-            pl = barron.PiecewiseLinear1D.from_network(net)
-            canon = barron.canonical_network_1d(pl)
-            summary["bv_norm"] = row["bv_norm"] = barron.bv_norm_1d(pl)
-            summary["canonical_path_norm"] = barron.path_norm(canon)
-            summary["integral"] = pl.integral()
-        return RunOutput(header=list(row.keys()), rows=[row], summary=summary)
-    raise ValueError(f"unknown barron mode {p['mode']!r}")
+    net = barron.TwoLayerNetwork.from_dict(json.loads(Path(p["network"]).read_text()))
+    row = {"width": net.width, "dim": net.dim,
+           "path_norm_q1": barron.path_norm(net, 1),
+           "path_norm_q2": barron.path_norm(net, 2),
+           # every activation is 1-Lipschitz, so the path norm bounds the
+           # Lipschitz constant under the sup norm
+           "lipschitz_bound": barron.path_norm(net, 1)}
+    summary = dict(row)
+    if net.dim == 1 and net.activation.kind == "relu":
+        pl = barron.PiecewiseLinear1D.from_network(net)
+        canon = barron.canonical_network_1d(pl)
+        summary["bv_norm"] = row["bv_norm"] = barron.bv_norm_1d(pl)
+        summary["canonical_path_norm"] = barron.path_norm(canon)
+        summary["integral"] = pl.integral()
+    return RunOutput(header=list(row.keys()), rows=[row], summary=summary)
 
 
 def _run_kernels(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
     kind, d = p["kind"], p["d"]
-    allowed = ("random_feature_relu_sphere", "random_feature_relu_gaussian", "ntk_relu")
-    if kind not in allowed:
-        raise ValueError(f"--kind must be one of {allowed}, got {kind!r}")
     if kind == "ntk_relu":
-        n = p["n"] or 32
-        rng = spawn_rng(cfg.seed, 0)
-        pts = kernels.uniform_sphere_points(n, d - 1, rng)
+        pts = kernels.uniform_sphere_points(p["n"], d - 1, spawn_rng(cfg.seed, 0))
         rep = kernels.ntk_gram(pts, a0=p["a0"], param_samples=p["samples"],
                                seed=cfg.seed)
         rows = [{"index": i, "eig_ntk": float(a), "eig_rf": float(b)}
@@ -428,8 +446,6 @@ def _run_kernels(cfg: RunConfig) -> RunOutput:
         return RunOutput(header=["index", "eig_ntk", "eig_rf"], rows=rows,
                          summary=summary)
     if kind == "random_feature_relu_gaussian":
-        if d < 2:
-            raise ValueError("the angle sweep needs d >= 2")
         spec = kernels.KernelSpec(kind=kind, d=d)
         phis = np.linspace(0.0, math.pi, 9)
         rows = []
@@ -481,14 +497,9 @@ def _run_width(cfg: RunConfig) -> RunOutput:
     elif p["target"] == "absdist":
         target = widthprobe.TargetFunction.custom(
             lambda X: np.abs(X[:, 0] - 0.5), p["d"])
-    elif p["target"] == "barron":
-        if not p["network"]:
-            raise ValueError("missing required flag(s): --network")
-        net = barron.TwoLayerNetwork.from_dict(
-            json.loads(Path(p["network"]).read_text()))
-        target = widthprobe.TargetFunction.barron_explicit(net)
     else:
-        raise ValueError(f"unknown target {p['target']!r}")
+        net = barron.TwoLayerNetwork.from_dict(json.loads(Path(p["network"]).read_text()))
+        target = widthprobe.TargetFunction.barron_explicit(net)
     config = widthprobe.FitConfig(steps=p["steps"], restarts=p["restarts"],
                                   quadrature=("mc", p["quad"]))
     curve = widthprobe.rho_curve(target, p["t-grid"], width=p["width"],
@@ -600,9 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "network complexity, kernel spectra, approximation probes.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, specs in _SPECS.items():
+    for name in _SPECS:
         sp = sub.add_parser(name, help=f"run the {name} module")
-        for s in specs:
+        for s in _flags(name).values():
             sp.add_argument(f"--{s.name}", dest=s.name, type=s.parse, default=None,
                             help=s.help + (" (required)" if s.required else ""))
         sp.add_argument("--seed", type=int, default=None, help="master seed")
@@ -617,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    params = {s.name: getattr(args, s.name) for s in _SPECS[args.subcommand]}
+    params = {name: getattr(args, name) for name in _flags(args.subcommand)}
     try:
         cfg = resolve_config(args.subcommand, params, args.config, args.seed,
                              args.out, args.plots, args.threads)

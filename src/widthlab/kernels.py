@@ -436,7 +436,6 @@ class KernelSpectrum:
     oracle's, never an average of the two.
     """
 
-    d: int
     degrees: List[DegreeEigenvalue]
     flags: Dict[int, dict]
 
@@ -488,4 +487,4 @@ def exact_spectrum(d: int, max_degree: int, quadrature_points: int = 200) -> Ker
             else:
                 value = formula
         degrees.append(DegreeEigenvalue(k=k, value=value, mult=multiplicity(d, k)))
-    return KernelSpectrum(d=d, degrees=degrees, flags=flags)
+    return KernelSpectrum(degrees=degrees, flags=flags)

@@ -123,19 +123,15 @@ class WidthBound:
         if not t > 0:
             raise ParameterError(f"t must be positive, got {t}")
         if t < self.threshold_t:
-            return BoundValue(value=0.0, below_threshold=True, t=float(t))
-        return BoundValue(
-            value=self.prefactor * float(t) ** (-self.exponent),
-            below_threshold=False,
-            t=float(t),
-        )
+            return BoundValue(value=0.0, below_threshold=True)
+        return BoundValue(value=self.prefactor * float(t) ** (-self.exponent),
+                          below_threshold=False)
 
 
 @dataclass(frozen=True)
 class BoundValue:
     value: float
     below_threshold: bool
-    t: float
 
 
 def width_bound(params: SeparationParams) -> WidthBound:
@@ -229,7 +225,6 @@ class TailBound:
     ``log2`` values.
     """
 
-    k: int
     log2: float
 
 
@@ -247,7 +242,7 @@ def tail_sum_bound(k: int) -> TailBound:
     log2_terms = [float(kk - l**l) for l in range(k + 1, k + 1 + _TAIL_TERMS)]
     l_rem = k + 1 + _TAIL_TERMS
     log2_terms.append(float(kk - l_rem**l_rem) + 1.0)  # geometric remainder
-    return TailBound(k=k, log2=logsumexp2(log2_terms))
+    return TailBound(log2=logsumexp2(log2_terms))
 
 
 def tail_domination_log2(k: int) -> float:

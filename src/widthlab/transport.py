@@ -705,6 +705,7 @@ def empirical_w1_rate(d: int, n_values: Sequence[int], trials: int,
                          l2_surrogate=smoothing_l2_surrogate(points, gamma * n ** (-1.0 / d)),
                          seed_key=f"{seed}:{n}:{t}")
 
+    # serial path kept: a one-worker pool's thread gets its own malloc arena (+2 MiB RSS)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))

@@ -17,7 +17,7 @@ reported curve is nonincreasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,7 +182,6 @@ def _lbfgs_polish(a, W, b, X, y, maxiter):
 class FitResult:
     net: TwoLayerNetwork
     error: float              # L2 norm of the residual (sqrt of the integral)
-    meta: dict
 
 
 def project_path_norm(net: TwoLayerNetwork, t: float) -> TwoLayerNetwork:
@@ -348,10 +347,7 @@ def fit_constrained(target: TargetFunction, t: float, width: int = 64,
             raise OptimizationError("every restart produced non-finite losses")
     net, loss = min(candidates, key=lambda c: c[1])
     assert path_norm(net) <= t * (1 + 1e-9) + 1e-12
-    return FitResult(net=net, error=math.sqrt(max(loss, 0.0)),
-                     meta={"t": t, "width": width, "seed": seed,
-                           "quad_seed": quad_seed, "loss": loss,
-                           "restarts": config.restarts, "steps": config.steps})
+    return FitResult(net=net, error=math.sqrt(max(loss, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +360,6 @@ class CurvePoint:
     t: float
     error: float
     error_se: float
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -401,8 +396,7 @@ def rho_curve(target: TargetFunction, t_grid: Sequence[float], width: int = 64,
         # standard error of the squared-error estimate, propagated to the norm
         _, se_sq = l2_error(res.net, target, config.quadrature, seed=quad_seed)
         se = se_sq / (2 * res.error) if res.error > 0 else 0.0
-        points.append(CurvePoint(t=float(t), error=res.error, error_se=se,
-                                 meta=res.meta))
+        points.append(CurvePoint(t=float(t), error=res.error, error_se=se))
     errs = np.array([p.error for p in points])
     ts = np.array([p.t for p in points])
     tail = max(len(points) // 2, 2)

@@ -5,9 +5,12 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import MagicMock
 
 import numpy as np
 import pytest
@@ -284,57 +287,98 @@ class TestSubcommandSmoke:
         assert rc == 3
 
 
-# Valid values for each subcommand's required flags.
-_REQUIRED_ARGV = {
-    "separation": ["--alpha", "1", "--beta", "0.25", "--t", "1,2"],
-    "schedule": ["--alpha", "1", "--beta", "0.25"],
-    "transport": ["--d", "1", "--n-list", "4"],
-    "barron": [],
-    "kernels": ["--d", "2"],
-    "width": ["--t-grid", "1"],
+# Valid values for the required flags of each (subcommand, choice), the
+# choice first as its selector flag.  The network file is never read before
+# a configuration is rejected, so it need not exist.
+_VALID = {
+    ("separation", None): {"alpha": "1", "beta": "0.25", "t": "1,2"},
+    ("schedule", None): {"alpha": "1", "beta": "0.25"},
+    ("transport", None): {"d": "1", "n-list": "4,8"},
+    ("barron", "rademacher"): {"mode": "rademacher"},
+    ("barron", "network"): {"mode": "network", "network": "net.json"},
+    ("kernels", "random_feature_relu_sphere"): {"kind": "random_feature_relu_sphere",
+                                                "d": "2"},
+    ("kernels", "random_feature_relu_gaussian"): {"kind": "random_feature_relu_gaussian",
+                                                  "d": "2"},
+    ("kernels", "ntk_relu"): {"kind": "ntk_relu", "d": "2"},
+    ("width", "distance"): {"target": "distance", "t-grid": "1"},
+    ("width", "absdist"): {"target": "absdist", "t-grid": "1"},
+    ("width", "barron"): {"target": "barron", "t-grid": "1", "network": "net.json"},
 }
-_INT_SPECS = [(sub, spec) for sub, specs in cli._SPECS.items() for spec in specs
-              if spec.parse in (int, cli._parse_int_list)]
 
 
-@pytest.mark.parametrize("sub,spec", _INT_SPECS,
-                         ids=[f"{sub}--{spec.name}" for sub, spec in _INT_SPECS])
-def test_int_flag_below_minimum_exits_2(sub, spec, tmp_path, capsys):
-    """Every integer flag has a lower bound, and a value just below it is
-    rejected before any computation: exit 2, no traceback, flag named."""
-    assert spec.minimum is not None
-    bad = str(spec.minimum - 1)
-    if spec.parse is cli._parse_int_list:
-        bad = f"{spec.minimum},{bad}"
-    rc = cli.main([sub, *_REQUIRED_ARGV[sub], f"--{spec.name}", bad,
-                   "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "Traceback" not in err
-    assert f"--{spec.name}" in err
-    assert not (tmp_path / "results.csv").exists()
+def _argv(sub, choice):
+    return [sub, *(arg for name, value in _VALID[sub, choice].items()
+                   for arg in (f"--{name}", value))]
 
 
-_FLOAT_SPECS = [(sub, spec) for sub, specs in cli._SPECS.items() for spec in specs
-                if spec.parse in (float, cli._parse_float_list)]
+def _resolve(argv, out):
+    """``argv`` parsed and resolved as ``cli.main`` does, without running it."""
+    args = cli.build_parser().parse_args(argv)
+    params = {name: getattr(args, name) for name in cli._flags(args.subcommand)}
+    return cli.resolve_config(args.subcommand, params, args.config, args.seed, str(out),
+                              args.plots, args.threads)
+
+
+def test_every_choice_has_valid_values():
+    assert set(_VALID) == {(sub, choice) for sub, choices in cli._SPECS.items()
+                           for choice in choices}
+
+
+def _flags_of_type(*parsers):
+    """(subcommand, flag) for every flag of these types that some choice reads."""
+    return list(dict.fromkeys((sub, s.name) for sub, choices in cli._SPECS.items()
+                              for specs in choices.values() for s in specs
+                              if s.parse in parsers))
+
+
+def _choices_reading(sub, name):
+    """(choice, spec) for every choice of ``sub`` that reads flag ``name``;
+    the spec, its bound with it, is that choice's own."""
+    return [(choice, s) for choice, specs in cli._SPECS[sub].items()
+            for s in specs if s.name == name]
+
+
+_INT_FLAGS = _flags_of_type(int, cli._parse_int_list)
+
+
+@pytest.mark.parametrize("sub,name", _INT_FLAGS,
+                         ids=[f"{sub}--{name}" for sub, name in _INT_FLAGS])
+def test_int_flag_below_minimum_exits_2(sub, name, tmp_path, capsys):
+    """Every integer flag has a lower bound under each choice that reads it,
+    and a value just below it is rejected before any computation: exit 2,
+    no traceback, flag and bound named."""
+    for choice, spec in _choices_reading(sub, name):
+        assert spec.minimum is not None
+        bad = str(spec.minimum - 1)
+        if spec.parse is cli._parse_int_list:
+            bad = f"{spec.minimum},{bad}"
+        rc = cli.main([*_argv(sub, choice), f"--{name}", bad, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, choice
+        assert "Traceback" not in err
+        assert f"--{name} must be >= {spec.minimum}" in err, choice
+        assert not (tmp_path / "results.csv").exists()
+
+
+_FLOAT_FLAGS = _flags_of_type(float, cli._parse_float_list)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
-@pytest.mark.parametrize("sub,spec", _FLOAT_SPECS,
-                         ids=[f"{sub}--{spec.name}" for sub, spec in _FLOAT_SPECS])
-def test_float_flag_not_finite_exits_2(sub, spec, bad, tmp_path, capsys):
+@pytest.mark.parametrize("sub,name", _FLOAT_FLAGS,
+                         ids=[f"{sub}--{name}" for sub, name in _FLOAT_FLAGS])
+def test_float_flag_not_finite_exits_2(sub, name, bad, tmp_path, capsys):
     """Every float flag, and every element of a float-list flag, must be
-    finite: nan and inf are rejected before any computation, with exit 2,
-    no traceback and the flag named."""
-    if spec.parse is cli._parse_float_list:
-        bad = f"1,{bad}"
-    rc = cli.main([sub, *_REQUIRED_ARGV[sub], f"--{spec.name}", bad,
-                   "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "Traceback" not in err
-    assert f"--{spec.name}" in err
-    assert not (tmp_path / "results.csv").exists()
+    finite under each choice that reads it: nan and inf are rejected before
+    any computation, with exit 2, no traceback and the flag named."""
+    for choice, spec in _choices_reading(sub, name):
+        value = f"1,{bad}" if spec.parse is cli._parse_float_list else bad
+        rc = cli.main([*_argv(sub, choice), f"--{name}", value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, choice
+        assert "Traceback" not in err
+        assert f"--{name} must be finite" in err, choice
+        assert not (tmp_path / "results.csv").exists()
 
 
 def _never_called(*args, **kwargs):
@@ -500,10 +544,6 @@ _SOLVERS = [(cli.transport, "empirical_w1_rate"), (cli.barron, "rademacher_estim
             (cli.kernels, "exact_spectrum"), (cli.kernels, "nystrom_spectrum"),
             (cli.kernels, "ntk_gram"), (cli.kernels, "mc_kernel"),
             (cli.kernels, "uniform_sphere_points"), (cli.widthprobe, "rho_curve")]
-# valid required values per subcommand, which the drawn values then override
-_VALID = {sub: dict(zip((flag[2:] for flag in argv[::2]), argv[1::2]))
-          for sub, argv in _REQUIRED_ARGV.items()}
-_VALID["transport"]["n-list"] = "4,8"
 
 
 # values that select other code paths: the string flags' choices, and a
@@ -527,12 +567,11 @@ def _drawn_value(spec):
 
 @st.composite
 def _configurations(draw):
-    sub = draw(st.sampled_from(sorted(cli._SPECS)))
-    specs = cli._SPECS[sub]
-    names = draw(st.lists(st.sampled_from([s.name for s in specs]), max_size=3, unique=True))
-    byname = {s.name: s for s in specs}
-    params = dict(_VALID[sub])
-    params.update({name: draw(_drawn_value(byname[name])) for name in names})
+    sub, choice = draw(st.sampled_from(list(_VALID)))
+    flags = cli._flags(sub)  # the selector, and flags other choices read, too
+    names = draw(st.lists(st.sampled_from(list(flags)), max_size=3, unique=True))
+    params = dict(_VALID[sub, choice])
+    params.update({name: draw(_drawn_value(flags[name])) for name in names})
     return sub, params, draw(st.booleans())
 
 
@@ -573,35 +612,37 @@ def test_exit_code_contract_fuzzed(tmp_path):
         check()
 
 
-@pytest.mark.parametrize("sub,spec", _INT_SPECS + _FLOAT_SPECS,
-                         ids=[f"{sub}--{spec.name}" for sub, spec in _INT_SPECS + _FLOAT_SPECS])
-def test_config_file_numbers_not_coerced(sub, spec, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("sub,name", _INT_FLAGS + _FLOAT_FLAGS,
+                         ids=[f"{sub}--{name}" for sub, name in _INT_FLAGS + _FLOAT_FLAGS])
+def test_config_file_numbers_not_coerced(sub, name, monkeypatch, tmp_path, capsys):
     """A config-file number for an int flag, or for an element of an
     int-list flag, must be integral (3.0 parses as 3; 2.7 used to run as 2),
     and a JSON boolean is no number for any numeric flag (true used to run
-    as 1 or 1.0).  Either exits 2 naming the flag, before anything runs."""
+    as 1 or 1.0).  Either exits 2 naming the flag, before anything runs,
+    under each choice that reads the flag."""
     for owner, attr in _SOLVERS:
         monkeypatch.setattr(owner, attr, _never_called)
-    is_int = spec.parse in (int, cli._parse_int_list)
-    is_list = spec.parse in (cli._parse_int_list, cli._parse_float_list)
     cfg = tmp_path / "cfg.json"
+    for choice, spec in _choices_reading(sub, name):
+        is_int = spec.parse in (int, cli._parse_int_list)
+        is_list = spec.parse in (cli._parse_int_list, cli._parse_float_list)
 
-    def config(value):
-        params = {**_VALID[sub], spec.name: [8, value] if is_list else value}
-        cfg.write_text(json.dumps({"subcommand": sub, "parameters": params}))
-        return str(cfg)
+        def config(value):
+            params = {**_VALID[sub, choice], name: [8, value] if is_list else value}
+            cfg.write_text(json.dumps({"subcommand": sub, "parameters": params}))
+            return str(cfg)
 
-    whole = float(spec.minimum + 1) if is_int else 1.5
-    got = cli.resolve_config(sub, {}, config(whole), None, None, None, None).parameters
-    value = got[spec.name][-1] if is_list else got[spec.name]
-    assert value == whole and type(value) is (int if is_int else float)
-    for bad in [True, False] + ([whole + 0.5] if is_int else []):
-        rc = cli.main([sub, "--config", config(bad), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert rc == 2, bad
-        assert "Traceback" not in err
-        assert f"--{spec.name} in the config file" in err
-    assert not (tmp_path / "out").exists()
+        whole = float(spec.minimum + 1) if is_int else 1.5
+        got = cli.resolve_config(sub, {}, config(whole), None, None, None, None).parameters
+        value = got[name][-1] if is_list else got[name]
+        assert value == whole and type(value) is (int if is_int else float)
+        for bad in [True, False] + ([whole + 0.5] if is_int else []):
+            rc = cli.main([sub, "--config", config(bad), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc == 2, (choice, bad)
+            assert "Traceback" not in err
+            assert f"--{name} in the config file" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -612,3 +653,170 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+class _Reads(dict):
+    """Resolved parameters that record which of them a runner reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("sub,choice", list(_VALID), ids=[f"{s}-{c}" for s, c in _VALID])
+def test_runner_reads_exactly_the_flags_of_its_choice(sub, choice, monkeypatch, tmp_path):
+    """Each run reads every flag that its choice accepts, and no other, so
+    the manifest echoes nothing that no computation read.  The solvers are
+    stubbed; what a runner hands them is read all the same."""
+    for owner, attr in _SOLVERS:
+        monkeypatch.setattr(owner, attr, lambda *a, **k: MagicMock())
+    monkeypatch.setattr(cli.kernels, "mc_kernel", lambda *a, **k: (0.0, 0.0))
+    monkeypatch.setattr(cli.barron, "rademacher_estimate", lambda *a, **k: SimpleNamespace(
+        estimate=1.0, violations=0, draws=[], bound=1.0))
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"neurons": [[1.0, [1.0], -0.25]]}))
+    argv = [net if arg == "net.json" else arg for arg in _argv(sub, choice)]
+    cfg = _resolve([str(arg) for arg in argv], tmp_path)
+    selector = cli._SELECTORS.get(sub)
+    accepted = {s.name for s in cli._SPECS[sub][choice]} | ({selector} if selector else set())
+    assert set(cfg.manifest()["parameters"]) == accepted
+    cfg.parameters = _Reads(cfg.parameters)
+    cli._RUNNERS[sub](cfg)
+    assert cfg.parameters.read == accepted
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["kernels", "--d", "3", "--degrees", "8", "--a0", "-5", "--samples", "100"],
+     ["--a0", "--samples"]),
+    (["kernels", "--kind", "ntk_relu", "--d", "3", "--degrees", "500",
+      "--quadrature-points", "9999"], ["--degrees", "--quadrature-points"]),
+    (["width", "--target", "barron", "--d", "5", "--network", "net.json", "--t-grid", "1,2"],
+     ["--d"]),
+    (["width", "--target", "absdist", "--anchor-points", "0", "--t-grid", "1,2"],
+     ["--anchor-points"]),
+    (["barron", "--network", "net.json"], ["--network"]),
+    (["barron", "--mode", "network", "--network", "net.json", "--d", "2"], ["--d"]),
+    (["kernels", "--kind", "random_feature_relu_gaussian", "--d", "3", "--n", "12"], ["--n"]),
+])
+def test_flag_the_choice_does_not_read_exits_2(argv, unread, monkeypatch, tmp_path, capsys):
+    """A flag that the selected --kind, --mode or --target does not read used
+    to be accepted, validated and echoed with no effect; it now exits 2
+    naming the flag and the choice, before anything runs."""
+    for owner, attr in _SOLVERS:
+        monkeypatch.setattr(owner, attr, _never_called)
+    rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert all(flag in err for flag in unread), err
+    assert "does not read" in err and argv[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub,choice", [("kernels", "random_feature_relu_sphere"),
+                                        ("barron", "rademacher"), ("width", "distance")])
+def test_old_manifest_with_unread_keys_exits_2(sub, choice, tmp_path, capsys):
+    """Manifests written before each choice had its own flags carry keys
+    that their choice does not read (the union's defaults): they exit 2."""
+    unread = {"kernels": {"a0": 1.0, "samples": 8192}, "barron": {"network": None},
+              "width": {"network": None}}[sub]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": sub,
+                               "parameters": {**_VALID[sub, choice], **unread}}))
+    rc = cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert all(f"--{key}" in err for key in unread)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [[1], {"k": 1}, None, 3])
+def test_config_file_selector_not_a_choice_exits_2(value, tmp_path, capsys):
+    """The selector is parsed like any other flag before its table is looked
+    up: a config-file list there exits 2, with no TypeError."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "kernels",
+                               "parameters": {"kind": value, "d": 3}}))
+    rc = cli.main(["kernels", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "--kind must be one of" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub,name,argv", [
+    ("separation", "t", ["--alpha", "1", "--beta", "0.5"]),
+    ("width", "t-grid", ["--target", "absdist", "--d", "1", "--steps", "10"]),
+    ("barron", "n-list", ["--d", "1"]),
+])
+def test_empty_list_counts_as_missing(sub, name, argv, monkeypatch, tmp_path, capsys):
+    """An empty list, `--t ,` or a config-file `"t": []`, used to count as
+    given: separation wrote a header-only results.csv and width a fitted
+    exponent of -inf, both with exit 0.  It exits 2 naming the flag."""
+    for owner, attr in _SOLVERS:
+        monkeypatch.setattr(owner, attr, _never_called)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": sub, "parameters": {name: []}}))
+    for extra in ([f"--{name}", ","], ["--config", str(cfg)]):
+        rc = cli.main([sub, *argv, *extra, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, extra
+        assert "Traceback" not in err
+        assert f"missing required flag(s): --{name}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub,params", [
+    ("schedule", {"alpha": 1.0, "beta": 0.25, "k-max": None}),
+    ("transport", {"d": 1, "n-list": [4, 8], "trials": None}),
+    ("kernels", {"kind": "ntk_relu", "d": 3, "a0": None}),
+])
+def test_config_file_null_counts_as_missing(sub, params, monkeypatch, tmp_path, capsys):
+    """A config-file null for a flag with a default used to replace the
+    default and crash the run with a TypeError (exit 1)."""
+    for owner, attr in _SOLVERS:
+        monkeypatch.setattr(owner, attr, _never_called)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": sub, "parameters": params}))
+    rc = cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    null = next(key for key, value in params.items() if value is None)
+    assert f"--{null}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ntk_manifest_records_the_points_it_uses(tmp_path):
+    """ntk_relu's Gram matrix has 32 points by default, and its manifest
+    says so (it used to record "n": 0 and compute on 32)."""
+    rc = cli.main(["kernels", "--kind", "ntk_relu", "--d", "3", "--samples", "64",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["parameters"] == {"kind": "ntk_relu", "d": 3, "n": 32, "a0": 1.0,
+                                      "samples": 64}
+    assert len(read_csv(tmp_path / "results.csv")[1]) == 32
+
+
+def _readme_commands():
+    """The ``widthlab ...`` lines of the README's "Command line" block, with
+    backslash-continued lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("widthlab ")]
+
+
+def test_readme_command_line_examples_resolve(tmp_path):
+    """Every README example parses and resolves (nothing runs): it shows no
+    flag that its subcommand's choice does not read."""
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._SPECS)
+    for argv in commands:
+        _resolve(argv, tmp_path)
