@@ -194,49 +194,57 @@ class RademacherEstimate:
         return int(np.sum(self.draws > self.bound))
 
 
-_ASCENT_STEPS = 60  # projected ascent steps per restart and sign
+_ASCENT_STEPS = 60  # projected ascent steps per start and sign
+# Largest n x columns of one batched ascent.  Whole draws fill a chunk up to
+# it; a wider ``X.T @ mask`` switches OpenBLAS's gemm kernel, which changes
+# the last bit of the draws and costs memory for no speed.
+_CHUNK_ELEMENTS = 2**17
 
 
-def _sup_relu_draw(X, xi, restarts, rng):
-    """max over normalized relu neurons +-s(w.x+b)/(|w|_1+|b|) of the signed
-    empirical mean.
+def _sup_relu_draws(X, draws, restarts, rng):
+    """Per sign draw, max over normalized relu neurons +-s(w.x+b)/(|w|_1+|b|)
+    of the signed empirical mean.
 
     Projected subgradient ascent on the l1 sphere of (w, b); the normalized
     objective is scale-free by positive homogeneity, so the projection is a
-    radial rescale.
+    radial rescale.  Every (sign, draw, start) is a column of one batch and
+    does the arithmetic of a lone ascent.
     """
     n, d = X.shape
-    W = rng.standard_normal((restarts, d + 1))
-    W /= np.abs(W).sum(axis=1, keepdims=True)
-    # deterministic starts: the best vertex of the l1 ball for the linear
-    # relaxation sup_{|w|_1<=1} w.(mean of xi_i x_i), and the constant neuron
-    lin = X.T @ xi / n
-    j = int(np.argmax(np.abs(lin)))
-    sj = np.sign(lin[j]) or 1.0
-    extra = np.zeros((4, d + 1))
-    extra[0, j] = sj
-    extra[1, j] = -sj
-    extra[2, d] = 1.0
-    extra[3, d] = -1.0
-    W0 = np.vstack([W, extra])
-    best = 0.0
-    for sign in (1.0, -1.0):
-        P = W0.copy()
-        step = 0.5
-        for _ in range(_ASCENT_STEPS):
-            pre = X @ P[:, :d].T + P[:, d]
-            mask = (pre > 0).astype(float) * xi[:, None]
-            grad = np.column_stack([(X.T @ mask).T, mask.sum(axis=0)]) * (sign / n)
-            P = P + step * grad
-            norms = np.abs(P).sum(axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            P /= norms
-            step *= 0.93
+    s = restarts + 4
+    xis, starts = np.empty((draws, n)), np.zeros((draws, s, d + 1))
+    for xi, W in zip(xis, starts):
+        xi[:] = rng.choice([-1.0, 1.0], size=n)
+        W[:restarts] = rng.standard_normal((restarts, d + 1))
+        W[:restarts] /= np.abs(W[:restarts]).sum(axis=1, keepdims=True)
+        # deterministic starts: the best vertex of the l1 ball for the linear
+        # relaxation sup_{|w|_1<=1} w.(mean of xi_i x_i), and the constant neuron
+        lin = X.T @ xi / n
+        j = int(np.argmax(np.abs(lin)))
+        sj = np.sign(lin[j]) or 1.0
+        W[restarts:][[0, 1, 2, 3], [j, j, d, d]] = [sj, -sj, 1.0, -1.0]
+    P = np.tile(starts.reshape(draws * s, d + 1), (2, 1))  # columns (sign, draw, start)
+    signed_xi = np.tile(np.repeat(xis.T, s, axis=1), 2)
+    scale = np.repeat([1.0 / n, -1.0 / n], draws * s)[:, None]
+    step = 0.5
+    for _ in range(_ASCENT_STEPS):
         pre = X @ P[:, :d].T + P[:, d]
-        vals = sign * (xi @ np.maximum(pre, 0.0)) / n
+        mask = (pre > 0).astype(float) * signed_xi
+        grad = np.column_stack([(X.T @ mask).T, mask.sum(axis=0)]) * scale
+        P = P + step * grad
+        norms = np.abs(P).sum(axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        P /= norms
+        step *= 0.93
+    relu = np.maximum(X @ P[:, :d].T + P[:, d], 0.0)
+    best = np.zeros(draws)
+    for c in range(2 * draws):
+        # one product per draw and sign: a batched einsum differs in the last bit
+        sign, i = (1.0, c) if c < draws else (-1.0, c - draws)
+        vals = sign * (xis[i] @ relu[:, c * s:(c + 1) * s]) / n
         if not np.all(np.isfinite(vals)):
             raise OptimizationError("non-finite objective in rademacher ascent")
-        best = max(best, float(vals.max()))
+        best[i] = max(best[i], float(vals.max()))
     return best
 
 
@@ -246,8 +254,9 @@ def rademacher_estimate(sample, restarts: int = 16, seed: int = 0,
 
     For each sign vector the supremum over the ball is reduced to signed
     normalized single neurons (the ball's extreme points) and maximized by
-    multi-start ascent (60 steps).  The returned per-draw values are optimizer
-    lower bounds on the true suprema; each must stay below the closed-form bound.
+    multi-start ascent (60 steps), whole draws batched into one ascent up to
+    ``_CHUNK_ELEMENTS``.  The returned per-draw values are optimizer lower
+    bounds on the true suprema; each must stay below the closed-form bound.
     """
     X = as_points(sample)
     if X.size == 0:
@@ -258,10 +267,9 @@ def rademacher_estimate(sample, restarts: int = 16, seed: int = 0,
         raise ValueError("sign_draws must be >= 1")
     n, d = X.shape
     rng = spawn_rng(seed, n, d)
-    draws = np.empty(sign_draws)
-    for i in range(sign_draws):
-        xi = rng.choice([-1.0, 1.0], size=n)
-        draws[i] = _sup_relu_draw(X, xi, restarts, rng)
+    chunk = max(1, _CHUNK_ELEMENTS // (n * 2 * (restarts + 4)))
+    draws = np.concatenate([_sup_relu_draws(X, min(chunk, sign_draws - lo), restarts, rng)
+                            for lo in range(0, sign_draws, chunk)])
     return RademacherEstimate(estimate=float(draws.mean()),
                               bound=rademacher_bound(n, d), draws=draws)
 

@@ -156,6 +156,19 @@ _SPECS: Dict[str, Dict[Optional[str], List[ParamSpec]]] = {
 }
 
 
+# Run settings: no parameters, so a manifest echoes them at its top level,
+# under these keys.  Every run reads --seed; only a choice that can return a
+# plot reads --plots, and only transport reads --threads.
+_SEED = ParamSpec("seed", int, 0, minimum=0)
+_PLOTS = ParamSpec("plots", _parse_bool, False)
+_THREADS = ParamSpec("threads", int, 1, minimum=1)
+_RUN_SETTINGS = {_SEED: "seed", _PLOTS: "emit_plots", _THREADS: "threads"}
+_SETTINGS_READ = {("separation", None): [_PLOTS], ("transport", None): [_PLOTS, _THREADS],
+                  ("barron", "rademacher"): [_PLOTS],
+                  ("kernels", "random_feature_relu_sphere"): [_PLOTS],
+                  **{("width", target): [_PLOTS] for target in _SPECS["width"]}}
+
+
 def _flags(subcommand: str) -> Dict[str, ParamSpec]:
     """Every flag some choice of ``subcommand`` reads, its selector first."""
     choices, selector = _SPECS[subcommand], _SELECTORS.get(subcommand)
@@ -171,17 +184,17 @@ class RunConfig:
     parameters: dict
     seed: int = 0
     output_dir: str = "."
-    emit_plots: bool = False
-    threads: int = 1
+    emit_plots: Optional[bool] = None  # None: the run does not read it
+    threads: Optional[int] = None
 
     def manifest(self) -> dict:
+        settings = {"threads": self.threads, "emit_plots": self.emit_plots}
         return {
             "artifact": "widthlab",
             "version": __version__,
             "subcommand": self.subcommand,
             "seed": self.seed,
-            "threads": self.threads,
-            "emit_plots": self.emit_plots,
+            **{key: value for key, value in settings.items() if value is not None},
             "parameters": self.parameters,
         }
 
@@ -209,10 +222,11 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
                    seed: Optional[int], out: Optional[str], plots: Optional[bool],
                    threads: Optional[int]) -> RunConfig:
     """defaults < config file < explicit CLI flags, with required checks.  A
-    run reads only the flags of its selector's choice; any other exits 2."""
+    run reads only the flags and run settings of its selector's choice; any
+    other exits 2."""
     flags = _flags(subcommand)
     given = {}
-    file_seed = file_out = file_plots = file_threads = None
+    file_out = None
     if config_path:
         payload = json.loads(Path(config_path).read_text())
         if not isinstance(payload, dict) or not isinstance(payload.get("parameters", {}), dict):
@@ -228,25 +242,29 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
                 given[key] = _parse_json_value(flags[key], val)
             except (TypeError, ValueError, OverflowError) as exc:  # e.g. int(Infinity)
                 raise ValueError(f"--{key} in the config file: {exc}") from None
-        file_seed = payload.get("seed")
         file_out = payload.get("output_dir")
-        file_plots = payload.get("emit_plots")
-        file_threads = payload.get("threads")
         if file_out is not None and not isinstance(file_out, str):
             raise ValueError(f"output_dir in the config file must be a string, got {file_out!r}")
-        if file_plots is not None and not isinstance(file_plots, bool):
-            raise ValueError(
-                f"emit_plots in the config file must be true or false, got {file_plots!r}")
+        if not isinstance(payload.get("emit_plots", False), bool):
+            raise ValueError("emit_plots in the config file must be true or false, "
+                             f"got {payload['emit_plots']!r}")
+        for spec, key in _RUN_SETTINGS.items():
+            try:
+                if payload.get(key) is not None:
+                    given[spec.name] = _parse_json_value(spec, payload[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"--{spec.name} in the config file: {exc}") from None
+    cli_params = {**cli_params, "seed": seed, "plots": plots, "threads": threads}
     given.update((key, val) for key, val in cli_params.items() if val is not None)
     choices, selector = _SPECS[subcommand], _SELECTORS.get(subcommand)
     choice = given.pop(selector, next(iter(choices)))
     if choice not in choices:
         raise ValueError(f"--{selector} must be one of {tuple(choices)}, got {choice!r}")
-    specs = choices[choice]
+    specs = choices[choice] + [_SEED, *_SETTINGS_READ.get((subcommand, choice), [])]
     resolved = {s.name: given.pop(s.name, s.default) for s in specs}
-    if given:  # flags or config keys that the choice does not read
-        raise ValueError(f"{subcommand} --{selector} {choice} does not read "
-                         + ", ".join(f"--{key}" for key in given))
+    if given:  # flags, run settings or config keys that the choice does not read
+        run = f"{subcommand} --{selector} {choice}" if selector else subcommand
+        raise ValueError(f"{run} does not read " + ", ".join(f"--{key}" for key in given))
     # a config-file null, and an empty list (`--t ,` or "t": []), count as missing
     missing = [s.name for s in specs if resolved[s.name] in (None, [])]
     if missing:
@@ -258,15 +276,16 @@ def resolve_config(subcommand: str, cli_params: dict, config_path: Optional[str]
             raise ValueError(f"--{s.name} must be >= {s.minimum}, got {value}")
         if s.parse in (float, _parse_float_list) and not all(map(math.isfinite, values)):
             raise ValueError(f"--{s.name} must be finite, got {value}")
+    seed, plots, threads = (resolved.pop(s.name, None) for s in _RUN_SETTINGS)
     return RunConfig(
         subcommand=subcommand,
         parameters={selector: choice, **resolved} if selector else resolved,
-        seed=_run_setting("seed", seed, file_seed, 0),
+        seed=seed,
         output_dir=out if out is not None else (file_out or "."),
-        emit_plots=plots if plots is not None else bool(file_plots),
+        emit_plots=plots,
         # more workers than cores only adds contention; the outputs do not
         # depend on the count, so a rerun from the manifest matches anyway
-        threads=min(_run_setting("threads", threads, file_threads, 1), os.cpu_count() or 1),
+        threads=None if threads is None else min(threads, os.cpu_count() or 1),
     )
 
 
@@ -285,16 +304,6 @@ def _parse_json_value(spec: ParamSpec, value):
                 raise ValueError(f"not {'an integer' if kind is int else 'a number'}: "
                                  f"{json.dumps(v)}")
     return spec.parse(value)
-
-
-def _run_setting(flag: str, value, file_value, minimum: int) -> int:
-    """The flag's value, else the config file's, else ``minimum``; it must be
-    an integer no smaller than ``minimum``."""
-    if value is None:
-        value = file_value if file_value is not None else minimum
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"--{flag} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -146,17 +146,20 @@ class FitConfig:
 def _relu_loss(a, W, b, X, y, grad=False):
     """``(loss, act, grads)`` of ``f = relu(X W^T + b) a / m`` against y: the
     mean squared residual, the hidden activations and, when ``grad`` is set,
-    ``(d/da, d/dW, d/db)`` (relu' is 0 at 0), else None."""
-    m, n = a.shape[0], X.shape[0]
-    pre = X @ W.T + b
+    ``(d/da, d/dW, d/db)`` (relu' is 0 at 0), else None.  ``a``, ``W`` and
+    ``b`` may stack networks on a leading axis; a stacked ``np.matmul`` does
+    each network's lone gemm, gemv or dot, so each slice matches it bitwise."""
+    m, n = a.shape[-1], X.shape[0]
+    pre = X @ np.swapaxes(W, -1, -2) + b[..., None, :]
     act = np.maximum(pre, 0.0)
-    resid = act @ a / m - y
-    loss = float(resid @ resid) / n
+    resid = (act @ a[..., None])[..., 0] / m - y
+    loss = (resid[..., None, :] @ resid[..., None])[..., 0, 0] / n
     if not grad:
         return loss, act, None
     g_common = 2.0 * resid / (n * m)
-    mask = (pre > 0) * (g_common[:, None] * a[None, :])
-    return loss, act, (act.T @ g_common, mask.T @ X, mask.sum(axis=0))
+    mask = (pre > 0) * (g_common[..., None] * a[..., None, :])
+    return loss, act, ((np.swapaxes(act, -1, -2) @ g_common[..., None])[..., 0],
+                       np.swapaxes(mask, -1, -2) @ X, mask.sum(axis=-2))
 
 
 def _lbfgs_polish(a, W, b, X, y, maxiter):
@@ -210,73 +213,86 @@ def _init_network(width: int, d: int, t: float, rng) -> TwoLayerNetwork:
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of the given radius."""
-    if radius <= 0:
-        return np.zeros_like(v)
+    """Euclidean projection of each row of v onto the l1 ball of the given
+    radius (> 0)."""
     a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(u) + 1) > (css - radius))[0][-1]
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    u = np.sort(a, axis=-1)[:, ::-1]
+    css = np.cumsum(u, axis=-1)
+    above = u * np.arange(1, u.shape[-1] + 1) > (css - radius)
+    rho = u.shape[-1] - 1 - np.argmax(above[:, ::-1], axis=-1)  # last True per row
+    theta = (css[np.arange(len(v)), rho] - radius) / (rho + 1.0)
+    inside = a.sum(axis=-1) <= radius
+    return np.where(inside[:, None], v, np.sign(v) * np.maximum(a - theta[:, None], 0.0))
 
 
 def _refit_outer(act: np.ndarray, y: np.ndarray, costs: np.ndarray, m: int,
                  t: float, a0: np.ndarray) -> np.ndarray:
-    """Convex refit of the outer weights with the path-norm budget.
-
+    """Convex refit of the outer weights with the path-norm budget, for K
+    stacked networks: ``act`` is (K, n, m), ``costs`` and ``a0`` are (K, m).
     With inner weights frozen, minimizing the quadratic loss subject to
     ``(1/m) sum c_i |a_i| <= t`` is least squares over a weighted l1 ball;
     substituting ``z_i = c_i a_i`` turns the constraint into a plain l1 ball
     and the problem is solved by 300 steps of accelerated projected gradient.
     """
-    n = act.shape[0]
+    n = act.shape[1]
     keep = costs > 1e-12
-    D = np.zeros_like(act)
-    D[:, keep] = act[:, keep] / (costs[keep] * m)
-    # Lipschitz constant of the gradient via a few power iterations
-    v = np.ones(D.shape[1]) / math.sqrt(D.shape[1])
+    D = np.divide(act, (costs * m)[:, None, :], out=np.zeros_like(act),
+                  where=keep[:, None, :])
+    DT = np.swapaxes(D, 1, 2)
+    norm = lambda v: np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])  # np.linalg.norm per row
+    # Lipschitz constant of the gradient via a few power iterations; a row
+    # that reaches the zero vector stays there
+    v = np.full(costs.shape, 1.0 / math.sqrt(m))
     for _ in range(25):
-        v = D.T @ (D @ v)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            break
-        v /= nv
+        v = (DT @ (D @ v[..., None]))[..., 0]
+        nv = norm(v)
+        v /= np.where(nv == 0, 1.0, nv)[:, None]
     # 1.3 safety factor: the power estimate can undershoot the top singular
     # value, and an overestimated step size would make the iteration diverge
-    L = 1.3 * 2.0 * max(float(np.linalg.norm(D @ v) ** 2), 1e-12) / n
+    L = 1.3 * 2.0 * np.maximum(norm((D @ v[..., None])[..., 0]) ** 2, 1e-12) / n
     radius = t * m
     z = _project_l1_ball(a0 * costs, radius)
     zp = z.copy()
     tk = 1.0
     for _ in range(300):
         w = z + ((tk - 1) / (tk + 1)) * (z - zp)
-        grad = 2.0 * (D.T @ (D @ w - y)) / n
+        grad = 2.0 * (DT @ ((D @ w[..., None])[..., 0] - y)[..., None])[..., 0] / n
         zp = z
-        z = _project_l1_ball(w - grad / L, radius)
+        z = _project_l1_ball(w - grad / L[:, None], radius)
         tk += 1.0
-    a = np.zeros_like(z)
-    a[keep] = z[keep] / costs[keep]
-    return a
+    return np.divide(z, costs, out=np.zeros_like(z), where=keep)
 
 
-def _adam_fit(target, t, width, config, X, y, rng) -> Tuple[TwoLayerNetwork, float]:
-    """One restart of projected Adam on the shared quadrature set, its step
-    size cosine-annealed from 0.08 to 1e-3."""
-    net = _init_network(width, target.d, t, rng)
-    a, W, b = net.outer.copy(), net.inner.copy(), net.bias.copy()
+def _stack(nets):
+    return [np.stack([getattr(net, f) for net in nets]) for f in ("outer", "inner", "bias")]
+
+
+def _fit_restarts(target, t, width, config, X, y, seed) -> list:
+    """Every restart of projected Adam on the shared quadrature set as one
+    stacked batch, the step size cosine-annealed from 0.08 to 1e-3.  Restart
+    r starts from ``spawn_rng(seed, r)`` and does the arithmetic of a lone
+    fit.  Entry r is its best candidate and loss, or None when its loss
+    turned non-finite and it was dropped."""
+    a, W, b = _stack([_init_network(width, target.d, t, spawn_rng(seed, r))
+                      for r in range(config.restarts)])
     state = [np.zeros_like(p) for p in (a, W, b)]
     state2 = [np.zeros_like(p) for p in (a, W, b)]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    best_loss, best = np.inf, None
+    alive = np.arange(config.restarts)      # restart of each row of a, W, b
+    best_loss = np.full(config.restarts, np.inf)
+    best = [a.copy(), W.copy(), b.copy()]   # indexed by restart
     for step in range(config.steps):
         loss, _, grads = _relu_loss(a, W, b, X, y, grad=True)
-        if not math.isfinite(loss):
-            raise OptimizationError("non-finite loss")
-        if loss < best_loss:
-            best_loss, best = loss, (a.copy(), W.copy(), b.copy())
+        ok = np.isfinite(loss)
+        if not ok.all():  # drop the restarts whose loss turned non-finite
+            alive, loss, a, W, b = alive[ok], loss[ok], a[ok], W[ok], b[ok]
+            grads, state, state2 = ([v[ok] for v in vs] for vs in (grads, state, state2))
+            if not alive.size:
+                return [None] * config.restarts
+        better = loss < best_loss[alive]
+        best_loss[alive[better]] = loss[better]
+        for kept, p in zip(best, (a, W, b)):
+            kept[alive[better]] = p[better]
         lr = 1e-3 + 0.5 * (0.08 - 1e-3) * (1 + math.cos(math.pi * step / config.steps))
         for p, g, m1, m2 in zip((a, W, b), grads, state, state2):
             m1 *= beta1
@@ -287,24 +303,32 @@ def _adam_fit(target, t, width, config, X, y, rng) -> Tuple[TwoLayerNetwork, flo
             vhat = m2 / (1 - beta2 ** (step + 1))
             p -= lr * mhat / (np.sqrt(vhat) + eps)
         # radial projection back onto the budget ball; path_norm's arithmetic
-        pn = float(np.sum(np.abs(a) * (np.abs(W).sum(axis=1) + np.abs(b)))) / width
-        if pn > t and pn > 0:
-            a *= t / pn
-    polished = _lbfgs_polish(*best, X=X, y=y, maxiter=config.polish_iters) \
-        if config.polish_iters else best
-    finals = []
-    for params in (best, polished, (a, W, b)):
-        cand = project_path_norm(TwoLayerNetwork(*params, RELU, averaged=True), t)
-        loss, act, _ = _relu_loss(cand.outer, cand.inner, cand.bias, X, y)
-        finals.append((cand, loss))
-        # convex polish: with these features frozen, the outer layer solves a
-        # budgeted least-squares problem exactly
-        costs = np.abs(cand.inner).sum(axis=1) + np.abs(cand.bias)
-        a_star = _refit_outer(act, y, costs, width, t, cand.outer)
-        refit = TwoLayerNetwork(a_star, cand.inner.copy(), cand.bias.copy(),
-                                RELU, averaged=True)
-        finals.append((refit, _relu_loss(a_star, refit.inner, refit.bias, X, y)[0]))
-    return min(finals, key=lambda c: c[1])
+        pn = np.sum(np.abs(a) * (np.abs(W).sum(axis=-1) + np.abs(b)), axis=-1) / width
+        over = (pn > t) & (pn > 0)
+        a[over] *= (t / pn[over])[:, None]
+    # per restart: the best iterate, its L-BFGS polish and the last iterate,
+    # each projected and then refit, all 3R candidates in one batch
+    cands = []
+    for row, r in enumerate(alive):
+        kept = tuple(p[r] for p in best)
+        polished = _lbfgs_polish(*kept, X=X, y=y, maxiter=config.polish_iters) \
+            if config.polish_iters else kept
+        for params in (kept, polished, (a[row], W[row], b[row])):
+            cands.append(project_path_norm(TwoLayerNetwork(*params, RELU, averaged=True), t))
+    outer, inner, bias = _stack(cands)
+    loss, act, _ = _relu_loss(outer, inner, bias, X, y)
+    # convex polish: with these features frozen, the outer layer solves a
+    # budgeted least-squares problem exactly
+    costs = np.abs(inner).sum(axis=-1) + np.abs(bias)
+    a_star = _refit_outer(act, y, costs, width, t, outer)
+    refit_loss = _relu_loss(a_star, inner, bias, X, y)[0]
+    winners = [None] * config.restarts
+    for row, r in enumerate(alive):
+        finals = [pair for k in range(3 * row, 3 * row + 3) for pair in (
+            (cands[k], loss[k]),
+            (TwoLayerNetwork(a_star[k], inner[k], bias[k], RELU, averaged=True), refit_loss[k]))]
+        winners[r] = min(finals, key=lambda c: c[1])
+    return winners
 
 
 def fit_constrained(target: TargetFunction, t: float, width: int = 64,
@@ -336,15 +360,10 @@ def fit_constrained(target: TargetFunction, t: float, width: int = 64,
             warm = project_path_norm(init_net, t)
             resid = np.asarray(warm.evaluate(X)) - y
             candidates.append((warm, float(np.mean(resid**2))))
-        failures = 0
-        for r in range(config.restarts):
-            rng = spawn_rng(seed, r)
-            try:
-                candidates.append(_adam_fit(target, t, width, config, X, y, rng))
-            except OptimizationError:
-                failures += 1
-        if failures == config.restarts:
+        winners = [w for w in _fit_restarts(target, t, width, config, X, y, seed) if w]
+        if not winners:
             raise OptimizationError("every restart produced non-finite losses")
+        candidates += winners
     net, loss = min(candidates, key=lambda c: c[1])
     assert path_norm(net) <= t * (1 + 1e-9) + 1e-12
     return FitResult(net=net, error=math.sqrt(max(loss, 0.0)))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from widthlab import barron
 from widthlab.barron import (
     RELU,
+    OptimizationError,
     TANH,
     PiecewiseLinear1D,
     TwoLayerNetwork,
@@ -115,6 +117,25 @@ class TestRademacher:
     def test_no_sign_draws_rejected(self, sign_draws):
         with pytest.raises(ValueError, match="sign_draws"):
             rademacher_estimate(np.zeros((4, 2)), sign_draws=sign_draws)
+
+    def test_draws_do_not_depend_on_the_chunking(self):
+        """At n = 1,024 one batched ascent holds only a few whole draws, so a
+        run of 7 draws takes several chunks; its first 4 draws equal those of
+        a 4-draw run, whose chunks split the draws differently.  The
+        tolerance is for BLAS builds whose products depend on the batch
+        width; this one agrees bit for bit."""
+        n, restarts = 1024, 16
+        assert barron._CHUNK_ELEMENTS // (n * 2 * (restarts + 4)) < 4
+        X = np.random.default_rng(8).uniform(-1, 1, (n, 2))
+        many = rademacher_estimate(X, sign_draws=7, restarts=restarts, seed=2).draws
+        few = rademacher_estimate(X, sign_draws=4, restarts=restarts, seed=2).draws
+        np.testing.assert_allclose(many[:4], few, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_objective_raises(self):
+        X = np.array([[np.inf, 0.0]] * 4)
+        with pytest.raises(OptimizationError, match="non-finite"):
+            rademacher_estimate(X, sign_draws=3, restarts=2, seed=0)
 
     def test_rate_scaling_in_expectation(self):
         """Estimate decays roughly like 1/sqrt(n) over a seeded sweep."""

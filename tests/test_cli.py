@@ -820,3 +820,53 @@ def test_readme_command_line_examples_resolve(tmp_path):
     assert {argv[0] for argv in commands} == set(cli._SPECS)
     for argv in commands:
         _resolve(argv, tmp_path)
+
+
+_PLOTTED = {("separation", None), ("transport", None), ("barron", "rademacher"),
+            ("kernels", "random_feature_relu_sphere"), ("width", "distance"),
+            ("width", "absdist"), ("width", "barron")}
+
+
+@pytest.mark.parametrize("sub,choice", list(_VALID), ids=[f"{s}-{c}" for s, c in _VALID])
+def test_run_settings_read_only_where_used(sub, choice, monkeypatch, tmp_path, capsys):
+    """Only transport reads --threads, and only a choice that can return a
+    plot reads --plots.  Any other run given one, as a flag or as a config
+    file key, exits 2 naming the flag and the choice (both used to be
+    accepted and echoed in the manifest with no effect), and its manifest
+    echoes neither."""
+    for owner, attr in _SOLVERS:
+        monkeypatch.setattr(owner, attr, _never_called)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    reads = {"plots": (sub, choice) in _PLOTTED, "threads": sub == "transport"}
+    manifest = _resolve(_argv(sub, choice), tmp_path).manifest()
+    assert ("emit_plots" in manifest) == reads["plots"]
+    assert ("threads" in manifest) == reads["threads"]
+    cfg = tmp_path / "cfg.json"
+    for flag, key, value, flag_argv in [("plots", "emit_plots", True, ["--plots"]),
+                                        ("threads", "threads", 2, ["--threads", "2"])]:
+        cfg.write_text(json.dumps({"subcommand": sub, key: value}))
+        for extra in (flag_argv, ["--config", str(cfg)]):
+            argv = [*_argv(sub, choice), *extra]
+            if reads[flag]:
+                assert _resolve(argv, tmp_path).manifest()[key] == value
+                continue
+            rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc == 2, extra
+            assert "Traceback" not in err
+            run = sub if choice is None else f"{sub} --{cli._SELECTORS[sub]} {choice}"
+            assert f"{run} does not read --{flag}" in err, err
+            assert not (tmp_path / "out").exists()
+
+
+def test_old_manifest_with_unread_run_settings_exits_2(tmp_path, capsys):
+    """Older manifests echo threads and emit_plots on every run: fed back as
+    a config file to a run that reads neither, they exit 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "schedule", "threads": 1, "emit_plots": False,
+                               "parameters": {"alpha": 1.0, "beta": 0.25}}))
+    rc = cli.main(["schedule", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "schedule does not read --plots, --threads" in err
+    assert not (tmp_path / "out").exists()

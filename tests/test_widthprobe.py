@@ -1,9 +1,12 @@
 """Constrained approximation probe: projection, quadrature, curves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from widthlab.barron import RELU, TwoLayerNetwork, path_norm
+from widthlab import widthprobe
+from widthlab.barron import RELU, OptimizationError, TwoLayerNetwork, path_norm
 from widthlab.widthprobe import (
     FitConfig,
     TargetError,
@@ -191,6 +194,68 @@ class TestFitConstrained:
         target = TargetFunction.custom(lambda X: X[:, 0], 1)
         with pytest.raises(TargetError, match="finite"):
             fit_constrained(target, t=t, width=4, config=FAST, seed=0)
+
+
+class TestBatchedRestarts:
+    """All restarts of a fit run as one stacked batch; each restart still
+    does the arithmetic of a lone fit.  The tolerances are for BLAS builds
+    whose products depend on the batch size; this one agrees bit for bit."""
+
+    CFG = FitConfig(steps=60, restarts=2, quadrature=("mc", 256), polish_iters=20)
+
+    def _winners(self, restarts, init=widthprobe._init_network):
+        target = TargetFunction.distance_to_point_set(np.random.default_rng(12).random((2, 2)))
+        X = widthprobe._quadrature_points(self.CFG.quadrature, 2, 7)
+        config = dataclasses.replace(self.CFG, restarts=restarts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(widthprobe, "_init_network", init)
+            return widthprobe._fit_restarts(target, 0.8, 10, config, X, target.fn(X), seed=3)
+
+    @staticmethod
+    def _assert_same(one, other):
+        (net, loss), (net2, loss2) = one, other
+        assert loss == pytest.approx(loss2, rel=1e-12, abs=1e-15)
+        for f in ("outer", "inner", "bias"):
+            np.testing.assert_allclose(getattr(net, f), getattr(net2, f),
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_winner_does_not_depend_on_the_restart_count(self):
+        two, five = self._winners(2), self._winners(5)
+        assert len(five) == 5 and all(w is not None for w in five)
+        for r in range(2):
+            self._assert_same(two[r], five[r])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_restart_dropped_alone(self):
+        """A restart whose loss turns non-finite is dropped; the others
+        finish as they would without it."""
+        lone = widthprobe._init_network
+
+        def init(width, d, t, rng):
+            net = lone(width, d, t, rng)
+            if init.calls == 1:
+                net.outer[0] = np.inf
+            init.calls += 1
+            return net
+        init.calls = 0
+        winners = self._winners(3, init)
+        assert winners[1] is None
+        full = self._winners(3)
+        self._assert_same(winners[0], full[0])
+        self._assert_same(winners[2], full[2])
+
+    def test_single_restart(self):
+        target = TargetFunction.distance_to_point_set(np.random.default_rng(13).random((2, 2)))
+        cfg = FitConfig(steps=60, restarts=1, quadrature=("mc", 256), polish_iters=20)
+        res = fit_constrained(target, t=0.8, width=10, config=cfg, seed=3)
+        assert path_norm(res.net) <= 0.8 * (1 + 1e-9)
+        assert res.net.width == 10 and 0.0 < res.error < 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_target_raises(self):
+        target = TargetFunction.custom(lambda X: np.full(len(X), np.nan), 2)
+        with pytest.raises(OptimizationError, match="every restart"):
+            fit_constrained(target, t=1.0, width=4, config=self.CFG, seed=0)
 
 
 class TestRhoCurve:
