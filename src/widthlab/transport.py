@@ -78,12 +78,19 @@ class TorusMetricConfig:
             raise TransportError(f"unsupported norm {self.norm!r}")
 
     def pairwise(self, X, Y) -> np.ndarray:
-        """Distance matrix between rows of X and rows of Y."""
+        """Distance matrix between rows of X and rows of Y, built from one m x n
+        slab per coordinate: a running max, or a running sum of squares."""
         X, Y = np.asarray(X, float), np.asarray(Y, float)
-        D = _per_coord_periodic_dist(X[:, None, :] - Y[None, :, :], self.periodic)
-        if self.norm == "ell_inf":
-            return D.max(axis=2)
-        return np.sqrt((D**2).sum(axis=2))
+        out, slab = np.zeros((len(X), len(Y))), np.empty((len(X), len(Y)))
+        for x, y in zip(X.T, Y.T):
+            np.abs(np.subtract(x[:, None], y, out=slab), out=slab)
+            if self.periodic:  # min(s, 1 - s): 1 - s is exact for s >= 1/2
+                np.subtract(1.0, slab, out=slab, where=slab > 0.5)
+            if self.norm == "ell_inf":
+                np.maximum(out, slab, out=out)
+            else:
+                out += np.square(slab, out=slab)
+        return out if self.norm == "ell_inf" else np.sqrt(out, out=out)
 
     def unit_ball_volume(self, d: int) -> float:
         """Lebesgue volume of the radius-1 ball for this norm."""
@@ -161,7 +168,6 @@ class DiscreteMeasure:
 _REDUCED_COST_TOL = 1e-11
 _MULTISCALE_MIN_ATOMS = 1024  # smaller measures are solved at their own scale only
 _COARSEST_CELLS = 256  # the coarsest level is the finest dyadic grid with this many cells
-_WARM_SLACK = 0.5  # warm arcs: reduced cost at most this many coarse cell spacings
 _CURVE_BITS = 16  # per-axis resolution of the space-filling curve
 _STALL_SCALE = 2.0**10  # exact in binary, so scaled costs and values stay exact
 
@@ -228,27 +234,25 @@ def _north_west_pairs(a, b, order_a, order_b) -> np.ndarray:
     return np.stack([order_a[rows], order_b[cols]], axis=1)
 
 
-def _warm_pairs(C, v, slack) -> np.ndarray:
-    """Arcs within ``slack`` of tight for the column duals ``v`` and their
-    c-transform ``u_i = min_j (C_ij - v_j)``, which make every reduced cost
-    nonnegative."""
-    reduced = C - v[None, :]
-    reduced -= reduced.min(axis=1, keepdims=True)
-    return np.argwhere(reduced <= slack)
+def _warm_pairs(C, v) -> np.ndarray:
+    """Arcs tight for the column duals ``v`` and their c-transform
+    ``u_i = min_j (C_ij - v_j)``: in each row, every arc whose reduced cost
+    ``C_ij - v_j - u_i`` is zero, ties included."""
+    reduced = C - v
+    return np.argwhere(reduced == reduced.min(axis=1, keepdims=True))
 
 
 def _levels(points: np.ndarray, weights: np.ndarray):
-    """Coarse-to-fine copies of a measure as ``(points, weights, spacing,
-    cell_of)``, where ``cell_of`` maps each atom to the atom of the level
-    before that holds it (all 0 at the first level).
+    """Coarse-to-fine copies of a measure as ``(points, weights, cell_of)``,
+    where ``cell_of`` maps each atom to the atom of the level before that
+    holds it (all 0 at the first level).
 
     Each coarse copy snaps the atoms to a dyadic cell grid and sums their
     masses at the cell centres (so a midpoint grid coarsens to a midpoint
-    grid); spacing is the cell width.  Each level has about four times the
-    cells of the one before, nested in them; a cell grid serves only while
-    it has at most a quarter as many cells as the measure has atoms, and the
-    last level is the measure itself, whose atoms stand for themselves
-    (spacing 0).
+    grid).  Each level has about four times the cells of the one before,
+    nested in them; a cell grid serves only while it has at most a quarter
+    as many cells as the measure has atoms, and the last level is the
+    measure itself.
     """
     m, d = points.shape
     level, step = (_COARSEST_CELLS.bit_length() - 1) // d, max(1, 2 // d)
@@ -260,9 +264,9 @@ def _levels(points: np.ndarray, weights: np.ndarray):
         inverse = inverse.ravel()
         cell_of = np.empty(len(cells), dtype=np.int64)
         cell_of[inverse] = coarse
-        out.append(((cells + 0.5) / k, np.bincount(inverse, weights=weights), 1.0 / k, cell_of))
+        out.append(((cells + 0.5) / k, np.bincount(inverse, weights=weights), cell_of))
         level, coarse = level + step, inverse
-    out.append((points, weights, 0.0, coarse))
+    out.append((points, weights, coarse))
     return out
 
 
@@ -396,7 +400,7 @@ def _column_generation(C, a, b, pairs, basic):
     model = _transport_model(a, b, arcs)
     if basic is not None:
         _set_basis(model, np.isin(arcs, np.ravel_multi_index(basic.T, C.shape)))
-    scale = 1.0
+    scale, reduced = 1.0, np.empty_like(C)  # one buffer for every round's reduced costs
     for _ in range(60):
         lp = linprog(np.take(C, arcs) * scale, model=model)
         if lp.status != 0 or lp.eqlin is None or lp.eqlin.marginals is None:
@@ -404,8 +408,8 @@ def _column_generation(C, a, b, pairs, basic):
         duals = lp.eqlin.marginals / scale
         u = duals[:m]
         v = np.concatenate([duals[m:], [0.0]])
-        reduced = C - u[:, None]
-        reduced -= v  # in place: the model's memory is still held here
+        np.subtract(C, u[:, None], out=reduced)
+        reduced -= v
         violated = np.flatnonzero(reduced < -_REDUCED_COST_TOL)
         if violated.size == 0:
             flow = np.array(model.getSolution().col_value)
@@ -432,19 +436,17 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     coarsest with at most 256 cells and each next one with about four times
     as many, and their masses summed; the last level is the measure itself.
     The smaller measure is the same at every level.  The coarsest level
-    starts from the 6 nearest arcs of each row and the 8 nearest of each
-    column.  Each finer level keeps the column duals ``v`` of the one
-    before, sets the row duals to their c-transform
-    ``u_i = min_j (C_ij - v_j)`` and starts from the arcs whose reduced cost
-    is at most half a coarse cell spacing.  Every level also starts from the
-    support of a north-west-corner plan along a Hilbert curve, so no
-    restricted LP is infeasible.
+    starts cold, with the dual simplex, from the 6 nearest arcs of each row,
+    the 8 nearest of each column and the support of a north-west-corner plan
+    along a Hilbert curve, so its restricted LP is feasible.
 
-    Each finer level also starts from the optimal plan of the one before,
-    each coarse arc's flow split onto the atoms of its cell along the
-    Hilbert curves; its arcs are HiGHS's starting basis, primal feasible, so
-    HiGHS re-optimises with the primal simplex.  The coarsest level starts
-    cold, with the dual simplex.
+    Each finer level starts from the optimal plan of the one before, each
+    coarse arc's flow split onto the atoms of its cell along the Hilbert
+    curves.  The split plan meets the fine margins, so its arcs make the
+    restricted LP feasible; they are HiGHS's starting basis, primal
+    feasible, and HiGHS re-optimises with the primal simplex.  Beside them
+    the level holds only the arcs tight for the column duals ``v`` of the
+    level before and their c-transform ``u_i = min_j (C_ij - v_j)``.
 
     Each level is one HiGHS model, solved by column generation: its optimum
     is certified against *all* arcs through its duals, and violated arcs are
@@ -461,19 +463,21 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     b = small.weights
     small_order = _hilbert_order(small.points)
     small_rank = np.argsort(small_order)
-    # every cost matrix is built before the first HiGHS model: the large
-    # temporaries of pairwise would otherwise land on the heap fragments a
-    # solved level leaves, whose size varies from run to run, and set the peak
-    levels = [(metric.pairwise(points, small.points), points, a, spacing, cell_of)
-              for points, a, spacing, cell_of in _levels(big.points, big.weights)]
+    # every cost matrix is built before the first HiGHS model: the slab of
+    # pairwise would otherwise land on the heap fragments a solved level
+    # leaves, whose size varies from run to run, and set the peak
+    levels = [(metric.pairwise(points, small.points), points, a, cell_of)
+              for points, a, cell_of in _levels(big.points, big.weights)]
     v = plan = None
-    for C, points, a, spacing, cell_of in levels:
+    for C, points, a, cell_of in levels:
         order = _hilbert_order(points)
-        pairs = _initial_pairs(C) if v is None else _warm_pairs(C, v, slack)
-        nw = _north_west_pairs(a, b, order, small_order)
-        basic = None if plan is None else _split_plan(plan, cell_of, a, order, small_rank)[0]
-        value, v, plan = _column_generation(C, a, b, np.concatenate([pairs, nw]), basic)
-        slack = _WARM_SLACK * spacing
+        if plan is None:
+            pairs = np.concatenate([_initial_pairs(C), _north_west_pairs(a, b, order, small_order)])
+            basic = None
+        else:
+            pairs = _warm_pairs(C, v)
+            basic = _split_plan(plan, cell_of, a, order, small_rank)[0]
+        value, v, plan = _column_generation(C, a, b, pairs, basic)
     return value
 
 
@@ -544,13 +548,6 @@ def covering_lower_bound(n: int, d: int, metric: TorusMetricConfig = TORUS_LINF)
 # ---------------------------------------------------------------------------
 
 
-def _per_coord_periodic_dist(offset: np.ndarray, periodic: bool) -> np.ndarray:
-    delta = np.abs(np.asarray(offset, dtype=float))
-    if periodic:
-        delta = np.minimum(delta, 1.0 - delta)
-    return delta
-
-
 def _check_balls(epsilon: float, metric: TorusMetricConfig):
     """Sup-norm balls of positive radius, below 1/4 under periodicity so
     that no ball wraps onto itself."""
@@ -572,7 +569,9 @@ def ball_intersection_volume(offset, epsilon: float,
     ``max(0, 2 eps - dist_i)``.
     """
     _check_balls(epsilon, metric)
-    delta = _per_coord_periodic_dist(offset, metric.periodic)
+    delta = np.abs(np.asarray(offset, dtype=float))
+    if metric.periodic:
+        delta = np.minimum(delta, 1.0 - delta)
     return np.prod(np.maximum(0.0, 2.0 * epsilon - delta), axis=-1)
 
 

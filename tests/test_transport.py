@@ -248,9 +248,11 @@ class TestW1Exact:
         np.testing.assert_array_equal(costs[1], costs[0] * 2.0**10)
 
     def test_no_restricted_lp_is_infeasible(self, monkeypatch):
-        """Every restricted LP contains a north-west-corner plan, so none is
-        infeasible.  On this instance the nearest-neighbour arcs of the 64^2
-        grid alone (``_initial_pairs``) make an infeasible LP."""
+        """No restricted LP is infeasible: the coarsest level contains a
+        north-west-corner plan and every finer level the split plan of the
+        level before, both meeting the margins.  On this instance the
+        nearest-neighbour arcs of the 64^2 grid alone (``_initial_pairs``)
+        make an infeasible LP."""
         from widthlab import transport
         from widthlab.util import spawn_rng
 
@@ -267,6 +269,66 @@ class TestW1Exact:
         w1 = w1_exact(DiscreteMeasure.uniform_grid(2, 64), emp, CUBE_LINF)
         assert w1 >= covering_lower_bound(256, 2, CUBE_LINF) - 2 / 64
         assert statuses and 2 not in statuses  # HiGHS status 2: infeasible
+
+    def test_finer_levels_start_from_tight_arcs_and_the_split_plan(self, monkeypatch):
+        """On the 64^2 grid against 256 atoms the coarsest level starts with
+        no basis.  Every finer level starts from the split plan as its basis,
+        and beside it only from arcs tight for the column duals of the level
+        before and their c-transform, at least one per row; no HiGHS run
+        finds its restricted LP infeasible."""
+        from widthlab import transport
+        from widthlab.util import spawn_rng
+
+        calls, statuses = [], []
+        column_generation, linprog = transport._column_generation, transport.linprog
+
+        def recorded(C, a, b, pairs, basic):
+            out = column_generation(C, a, b, pairs, basic)
+            calls.append((C, pairs, basic, out[1]))
+            return out
+
+        def counted(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(transport, "_column_generation", recorded)
+        monkeypatch.setattr(transport, "linprog", counted)
+        emp = DiscreteMeasure.empirical(spawn_rng(20240801, 256, 0).random((256, 2)))
+        w1_exact(DiscreteMeasure.uniform_grid(2, 64), emp, CUBE_LINF)
+        assert len(calls) == 3 and calls[0][2] is None
+        for (_, _, _, v), (C, pairs, basic, _) in zip(calls, calls[1:]):
+            assert basic is not None
+            reduced = C - v
+            tight = reduced == reduced.min(axis=1, keepdims=True)
+            assert tight[pairs[:, 0], pairs[:, 1]].all()
+            np.testing.assert_array_equal(np.unique(pairs[:, 0]), np.arange(len(C)))
+        assert statuses and 2 not in statuses  # HiGHS status 2: infeasible
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_multiscale_sweep_d1_against_cdf(self, n):
+        """The 4,096-atom grid on [0,1] (two coarse levels) against seeded
+        empirical measures matches the CDF formula to 1e-12."""
+        from widthlab.util import spawn_rng
+
+        grid = DiscreteMeasure.uniform_grid(1, 4096)
+        for seed in range(3):
+            emp = DiscreteMeasure.empirical(spawn_rng(seed, n, 0).random((n, 1)))
+            assert w1_exact(grid, emp, CUBE_LINF) == pytest.approx(w1_1d_cdf(grid, emp),
+                                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_multiscale_sweep_d2_against_assignment(self, n):
+        """The 32^2 grid (one coarse level) against seeded empirical measures
+        matches the assignment oracle to 1e-12 under every metric."""
+        from widthlab.util import spawn_rng
+
+        grid = DiscreteMeasure.uniform_grid(2, 32)
+        for seed in range(3):
+            emp = DiscreteMeasure.empirical(spawn_rng(seed, n, 0).random((n, 2)))
+            for metric in (CUBE_LINF, TORUS_LINF, TorusMetricConfig("ell_2", True)):
+                assert w1_exact(grid, emp, metric) == pytest.approx(
+                    w1_assignment_oracle(grid, emp, metric), abs=1e-12)
 
     @pytest.mark.parametrize("metric", [CUBE_LINF, TORUS_LINF, TorusMetricConfig("ell_2", True)],
                              ids=["cube-linf", "torus-linf", "torus-l2"])
@@ -347,6 +409,70 @@ def test_perfbench_tracer_sees_every_lp(monkeypatch):
     assert counts["transport.lp.infeasible"] == 0
     assert type(value) is float
     json.dumps(value)
+
+
+def _broadcast_pairwise(metric, X, Y):
+    """The distance matrix through the (m, n, d) array of coordinate gaps."""
+    D = np.abs(X[:, None, :] - Y[None, :, :])
+    if metric.periodic:
+        D = np.minimum(D, 1.0 - D)
+    return D.max(axis=2) if metric.norm == "ell_inf" else np.sqrt((D**2).sum(axis=2))
+
+
+_METRICS = [TorusMetricConfig(norm, periodic) for norm in ("ell_inf", "ell_2")
+            for periodic in (False, True)]
+
+
+def _metric_id(metric):
+    return f"{'torus' if metric.periodic else 'cube'}-{metric.norm}"
+
+
+class TestPairwise:
+    @pytest.mark.parametrize("metric,d", [
+        pytest.param(metric, d, id=f"{_metric_id(metric)}-d{d}")
+        for metric in _METRICS for d in range(1, 9) if metric.norm == "ell_inf" or d <= 7])
+    def test_slabs_match_broadcast_bit_for_bit(self, metric, d):
+        """Each coordinate's gap is the same float operation either way, and
+        a max is exact in any order.  numpy sums fewer than 8 terms in
+        order, as the running sum does, so the Euclidean norm is bit for bit
+        the same up to d = 7."""
+        rng = np.random.default_rng(d)
+        X, Y = rng.random((70, d)), rng.random((30, d))
+        np.testing.assert_array_equal(metric.pairwise(X, Y), _broadcast_pairwise(metric, X, Y))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("d", [8, 9, 12, 16])
+    def test_euclidean_from_d8_within_summation_error(self, d, periodic):
+        """From 8 terms numpy sums pairwise, so the two sums of the same d
+        squares differ in order only.  Each is within gamma_(d-1) * S of the
+        exact sum S (gamma_k = k u / (1 - k u), u = 2^-53), so the square
+        roots differ by at most gamma_(d-1) * sqrt(S) to first order, and
+        each rounded root adds u; the factor 1 + gamma_(d-1) covers the
+        second-order terms and measuring against the computed root."""
+        u = 2.0**-53
+        gamma = (d - 1) * u / (1 - (d - 1) * u)
+        metric = TorusMetricConfig("ell_2", periodic)
+        rng = np.random.default_rng(d)
+        X, Y = rng.random((70, d)), rng.random((30, d))
+        got, ref = metric.pairwise(X, Y), _broadcast_pairwise(metric, X, Y)
+        assert np.all(np.abs(got - ref) <= (gamma + 2 * u) * (1 + gamma) * ref)
+
+    @pytest.mark.parametrize("metric", _METRICS, ids=_metric_id)
+    def test_peak_memory_below_three_matrices(self, metric):
+        """No (m, n, d) temporary: on 4,096 x 256 points in d = 4 the build
+        peaks below three m x n float matrices (numpy reports its buffers to
+        tracemalloc); the gap array alone would take four."""
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        X, Y = rng.random((4096, 4)), rng.random((256, 4))
+        tracemalloc.start()
+        try:
+            metric.pairwise(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 4096 * 256 * 8
 
 
 class TestCoveringBound:
