@@ -104,7 +104,7 @@ def rate_exponent_pipeline(alpha: Number, beta: Number) -> dict:
     valid = bool(alpha > beta)
     out = {"alpha": alpha, "beta": beta, "valid": valid, "exponent": None}
     if valid:
-        out["exponent"] = beta / (alpha - beta)
+        out["exponent"] = width_exponent(alpha, beta)
     return out
 
 
@@ -144,7 +144,7 @@ def width_bound(params: SeparationParams) -> WidthBound:
     params.require_bound_valid()
     alpha, beta = float(params.alpha), float(params.beta)
     c_fast, c_slow, c_amb = float(params.c_fast), float(params.c_slow), float(params.c_ambient)
-    expo = beta / (alpha - beta)
+    expo = width_exponent(alpha, beta)
     prefactor = (
         2.0 ** (-beta) * (c_slow / 2.0) ** (alpha / (alpha - beta)) / (c_amb * c_fast**expo)
     )
@@ -193,7 +193,7 @@ def build_schedule(params: SeparationParams, k_max: int) -> Schedule:
     alpha, beta = float(params.alpha), float(params.beta)
     gap = alpha - beta
     log_threshold = math.log(float(params.c_slow) / (2.0 * float(params.c_fast)))
-    base_expo = beta / gap
+    base_expo = width_exponent(alpha, beta)
     entries = []
     for k in range(1, k_max + 1):
         log2_n = k**k

@@ -168,70 +168,18 @@ class DiscreteMeasure:
 _REDUCED_COST_TOL = 1e-11
 _MULTISCALE_MIN_ATOMS = 1024  # smaller measures are solved at their own scale only
 _COARSEST_CELLS = 256  # the coarsest level is the finest dyadic grid with this many cells
-_CURVE_BITS = 16  # per-axis resolution of the space-filling curve
 _STALL_SCALE = 2.0**10  # exact in binary, so scaled costs and values stay exact
 
 
 def _initial_pairs(C: np.ndarray) -> np.ndarray:
+    """The 6 nearest arcs of each row and the 8 nearest of each column (all
+    of them where a row or column has fewer)."""
     m, n = C.shape
-    k_cols = min(6, n)
-    if k_cols >= n:
-        idx = np.tile(np.arange(n), (m, 1))
-    else:
-        idx = np.argpartition(C, kth=k_cols - 1, axis=1)[:, :k_cols]
-    rows = np.repeat(np.arange(m), idx.shape[1])
-    cols = idx.ravel()
-    k_rows = min(8, m)
-    if k_rows >= m:
-        near = np.tile(np.arange(m)[:, None], (1, n))
-    else:
-        near = np.argpartition(C, kth=k_rows - 1, axis=0)[:k_rows, :]
-    rows = np.concatenate([rows, near.ravel()])
-    cols = np.concatenate([cols, np.tile(np.arange(n), near.shape[0])])
+    near_cols = np.argpartition(C, min(6, n) - 1, axis=1)[:, :6]
+    near_rows = np.argpartition(C, min(8, m) - 1, axis=0)[:8]
+    rows = np.concatenate([np.repeat(np.arange(m), near_cols.shape[1]), near_rows.ravel()])
+    cols = np.concatenate([near_cols.ravel(), np.tile(np.arange(n), near_rows.shape[0])])
     return np.stack([rows, cols], axis=1)
-
-
-def _hilbert_order(points: np.ndarray) -> np.ndarray:
-    """Indices sorting the points along a Hilbert curve through [0,1)^d
-    (Skilling's transpose form, vectorised over the points)."""
-    d = points.shape[1]
-    X = np.minimum((points * (1 << _CURVE_BITS)).astype(np.int64), (1 << _CURVE_BITS) - 1)
-    q = 1 << (_CURVE_BITS - 1)
-    while q > 1:
-        p = q - 1
-        for i in range(d):
-            hit = (X[:, i] & q) != 0
-            t = np.where(hit, p, (X[:, 0] ^ X[:, i]) & p)
-            X[:, 0] ^= t
-            X[:, i] ^= np.where(hit, 0, t)
-        q >>= 1
-    for i in range(1, d):
-        X[:, i] ^= X[:, i - 1]
-    t = np.zeros(len(X), dtype=np.int64)
-    q = 1 << (_CURVE_BITS - 1)
-    while q > 1:
-        t ^= np.where((X[:, -1] & q) != 0, q - 1, 0)
-        q >>= 1
-    X ^= t[:, None]
-    # the curve index interleaves the transposed bits, most significant first
-    bits = [(X[:, i] >> k) & 1 for k in range(_CURVE_BITS) for i in reversed(range(d))]
-    return np.lexsort(bits)
-
-
-def _north_west_pairs(a, b, order_a, order_b) -> np.ndarray:
-    """Support of the north-west-corner plan with both measures in the given
-    orders: every pair whose cumulative-mass intervals meet, within 1e-12 so
-    that rounding in the sums never drops an arc.  It carries a plan meeting
-    both margins, so a restricted LP containing it is feasible, whatever the
-    orders; orders along a space-filling curve keep its arcs short."""
-    hi_a, hi_b = np.cumsum(a[order_a]), np.cumsum(b[order_b])
-    lo_a, lo_b = hi_a - a[order_a], hi_b - b[order_b]
-    first = np.minimum(np.searchsorted(hi_b, lo_a - 1e-12), len(b) - 1)
-    last = np.maximum(np.searchsorted(lo_b, hi_a + 1e-12, side="right") - 1, first)
-    counts = last - first + 1
-    rows = np.repeat(np.arange(len(a)), counts)
-    cols = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    return np.stack([order_a[rows], order_b[cols]], axis=1)
 
 
 def _warm_pairs(C, v) -> np.ndarray:
@@ -270,28 +218,30 @@ def _levels(points: np.ndarray, weights: np.ndarray):
     return out
 
 
-def _split_plan(plan, cell_of, a, order, col_rank):
+def _split_plan(plan, cell_of, a):
     """Prolong the coarse plan ``(pairs, flow)``, whose rows are cells, onto
     the atoms (masses ``a``) of the next level; ``cell_of`` maps each atom to
     its cell.
 
     Each coarse arc's flow goes onto the atoms of its cell by a north-west
-    corner: the cell's atoms in ``order`` against its arcs in ``col_rank``
+    corner: the cell's atoms in input order against its arcs in column
     order.  One corner runs over both lists, sorted by cell and laid end to
     end on one mass axis.  Each cell's arcs are anchored to the cell's span
     of atom mass and the last one ends where the span ends, so the corner
     never crosses a cell, and the rounding between the two sums of a cell's
     mass falls on its last arc.  The result meets the fine margins and the
     coarse flows up to that rounding.  It is a staircase within each cell,
-    so it is a forest when the coarse plan is one.
+    so it is a forest when the coarse plan is one.  Split from a single cell
+    that sends ``b_j`` to column j, it is the support of the north-west-corner
+    plan between ``a`` and ``b``.
     """
-    atoms = order[np.argsort(cell_of[order], kind="stable")]
+    atoms = np.argsort(cell_of, kind="stable")
     cells = cell_of[atoms]
     hi_a = np.cumsum(a[atoms])
     end = hi_a[np.append(cells[1:] != cells[:-1], True)]  # every cell holds an atom
     start = np.concatenate([[0.0], end[:-1]])
     pairs, flow = plan
-    arcs = np.lexsort((col_rank[pairs[:, 1]], pairs[:, 0]))
+    arcs = np.lexsort((pairs[:, 1], pairs[:, 0]))
     rows, flow = pairs[arcs, 0], flow[arcs]
     sums = np.cumsum(flow)
     within = sums - (sums - flow)[np.searchsorted(rows, rows)]
@@ -403,7 +353,7 @@ def _column_generation(C, a, b, pairs, basic):
     scale, reduced = 1.0, np.empty_like(C)  # one buffer for every round's reduced costs
     for _ in range(60):
         lp = linprog(np.take(C, arcs) * scale, model=model)
-        if lp.status != 0 or lp.eqlin is None or lp.eqlin.marginals is None:
+        if lp.status != 0:
             raise OptimizationError(f"transport LP failed: {lp.message}")
         duals = lp.eqlin.marginals / scale
         u = duals[:m]
@@ -435,16 +385,18 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     most eight dimensions) its atoms are snapped to dyadic cell grids, the
     coarsest with at most 256 cells and each next one with about four times
     as many, and their masses summed; the last level is the measure itself.
-    The smaller measure is the same at every level.  The coarsest level
-    starts cold, with the dual simplex, from the 6 nearest arcs of each row,
-    the 8 nearest of each column and the support of a north-west-corner plan
-    along a Hilbert curve, so its restricted LP is feasible.
+    The smaller measure is the same at every level.
 
-    Each finer level starts from the optimal plan of the one before, each
-    coarse arc's flow split onto the atoms of its cell along the Hilbert
-    curves.  The split plan meets the fine margins, so its arcs make the
-    restricted LP feasible; they are HiGHS's starting basis, primal
-    feasible, and HiGHS re-optimises with the primal simplex.  Beside them
+    Every level starts from the optimal plan of the level before, each
+    coarse arc's flow split onto the atoms of its cell (``_split_plan``).
+    Before the coarsest level stands one cell holding all the mass, which
+    sends ``b_j`` to column j, so the coarsest level's split is the support
+    of a north-west-corner plan, both measures in input order.  The split
+    plan meets the margins, so its arcs make the restricted LP feasible.
+    The coarsest level starts cold, with the dual simplex, from those arcs,
+    the 6 nearest arcs of each row and the 8 nearest of each column.  Each
+    finer level starts from its split plan as HiGHS's basis, primal
+    feasible, and HiGHS re-optimises with the primal simplex.  Beside it
     the level holds only the arcs tight for the column duals ``v`` of the
     level before and their c-transform ``u_i = min_j (C_ij - v_j)``.
 
@@ -461,22 +413,19 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     swap = mu.size < nu.size
     big, small = (nu, mu) if swap else (mu, nu)
     b = small.weights
-    small_order = _hilbert_order(small.points)
-    small_rank = np.argsort(small_order)
     # every cost matrix is built before the first HiGHS model: the slab of
     # pairwise would otherwise land on the heap fragments a solved level
     # leaves, whose size varies from run to run, and set the peak
-    levels = [(metric.pairwise(points, small.points), points, a, cell_of)
+    levels = [(metric.pairwise(points, small.points), a, cell_of)
               for points, a, cell_of in _levels(big.points, big.weights)]
-    v = plan = None
-    for C, points, a, cell_of in levels:
-        order = _hilbert_order(points)
-        if plan is None:
-            pairs = np.concatenate([_initial_pairs(C), _north_west_pairs(a, b, order, small_order)])
-            basic = None
+    # before the coarsest level, one cell holds all the mass and sends b_j to column j
+    v, plan = None, (np.stack([np.zeros(len(b), dtype=np.int64), np.arange(len(b))], axis=1), b)
+    for C, a, cell_of in levels:
+        split = _split_plan(plan, cell_of, a)[0]
+        if v is None:
+            pairs, basic = np.concatenate([_initial_pairs(C), split]), None
         else:
-            pairs = _warm_pairs(C, v)
-            basic = _split_plan(plan, cell_of, a, order, small_rank)[0]
+            pairs, basic = _warm_pairs(C, v), split
         value, v, plan = _column_generation(C, a, b, pairs, basic)
     return value
 

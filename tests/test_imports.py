@@ -1,6 +1,8 @@
-"""Every name a ``widthlab`` module imports is used in that module."""
+"""Every name a ``widthlab`` module imports is used in that module, every
+private function is used in ``src``, and the settable values stay pinned."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,24 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     unused = _imported(tree) - _used(tree)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def _references(tree):
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_is_used_in_src():
+    """A private top-level function that only its own body or the tests
+    read is dead code."""
+    trees = [ast.parse(p.read_text()) for p in SRC.glob("*.py")]
+    total = sum((_references(tree) for tree in trees), Counter())
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name.startswith("_")
+              and total[node.name] == _references(node)[node.name]]
+    assert not unused, f"private functions that src/widthlab never calls: {sorted(unused)}"
 
 
 #: Settable values in ``src/widthlab``: parameters with a default plus

@@ -28,6 +28,22 @@ def random_measure(rng, n, d):
     return DiscreteMeasure(rng.random((n, d)), w / w.sum())
 
 
+def permuted(rng, measure):
+    """The same measure with its atoms in a random order."""
+    order = rng.permutation(measure.size)
+    return DiscreteMeasure(measure.points[order], measure.weights[order])
+
+
+def north_west_support(a, b):
+    """The split of a one-cell plan that sends ``b_j`` to column j onto the
+    atoms ``a``: the north-west-corner support, both measures in input
+    order."""
+    from widthlab.transport import _split_plan
+
+    one_cell = (np.stack([np.zeros(len(b), dtype=np.int64), np.arange(len(b))], axis=1), b)
+    return _split_plan(one_cell, np.zeros(len(a), dtype=np.int64), a)[0]
+
+
 class TestW1Exact:
     def test_dirac_pair_is_distance(self):
         rng = np.random.default_rng(0)
@@ -108,13 +124,14 @@ class TestW1Exact:
 
     @pytest.mark.parametrize("case", ["grid-64x64-vs-256", "scattered-1d-2000"])
     def test_split_plan_is_a_forest_meeting_both_margins(self, case, monkeypatch):
-        """Each finer level starts from the coarse optimal plan split onto
-        its atoms.  Every split that ``w1_exact`` makes must meet the fine
-        margins and the coarse flows it splits, with nonnegative flows, on at
-        most m+n-1 distinct arcs that form a forest: the rank of a bipartite
-        graph's incidence matrix is its node count less its number of
-        connected components, so it equals the arc count exactly when there
-        is no cycle."""
+        """Every level starts from the plan of the level before split onto
+        its atoms; the coarsest from a one-cell plan, whose split is the
+        north-west-corner plan.  Every split that ``w1_exact`` makes must
+        meet the fine margins and the coarse flows it splits, with
+        nonnegative flows, on at most m+n-1 distinct arcs that form a forest:
+        the rank of a bipartite graph's incidence matrix is its node count
+        less its number of connected components, so it equals the arc count
+        exactly when there is no cycle."""
         from scipy import sparse
         from scipy.sparse import csgraph
 
@@ -130,14 +147,14 @@ class TestW1Exact:
         splits = []
         split_plan = transport._split_plan
 
-        def recorded(plan, cell_of, a, order, col_rank):
-            out = split_plan(plan, cell_of, a, order, col_rank)
+        def recorded(plan, cell_of, a):
+            out = split_plan(plan, cell_of, a)
             splits.append((plan, cell_of, a, out))
             return out
 
         monkeypatch.setattr(transport, "_split_plan", recorded)
         w1_exact(big, small, CUBE_LINF)
-        assert len(splits) == len(transport._levels(big.points, big.weights)) - 1 >= 1
+        assert len(splits) == len(transport._levels(big.points, big.weights)) >= 2
         n = small.size
         for (coarse, coarse_flow), cell_of, a, (pairs, flow) in splits:
             m = len(a)
@@ -187,35 +204,24 @@ class TestW1Exact:
         assert iterations[first] < cold.nit / 10
 
     def test_north_west_support_is_feasible_in_any_order(self):
-        """The north-west-corner support holds a plan meeting both margins
-        whatever the orders: m+n-1 arcs for weights in general position, and
-        a few touching arcs more where cumulative masses tie."""
-        from widthlab.transport import _north_west_pairs, _transport_model, linprog
+        """The split of the one-cell plan holds a plan meeting both margins
+        whatever order the atoms come in: m+n-1 arcs for weights in general
+        position, and at most that where cumulative masses tie."""
+        from widthlab.transport import _transport_model, linprog
 
         rng = np.random.default_rng(9)
         for mu, nu, ties in ((random_measure(rng, 50, 2), random_measure(rng, 7, 2), False),
                              (DiscreteMeasure.uniform_grid(2, 8),
                               DiscreteMeasure.uniform_grid(2, 4), True)):
+            mu, nu = permuted(rng, mu), permuted(rng, nu)
             m, n = mu.size, nu.size
-            pairs = _north_west_pairs(mu.weights, nu.weights,
-                                      rng.permutation(m), rng.permutation(n))
+            pairs = north_west_support(mu.weights, nu.weights)
             assert len(np.unique(pairs, axis=0)) == len(pairs)
-            assert len(pairs) > m + n - 1 if ties else len(pairs) == m + n - 1
+            assert len(pairs) <= m + n - 1 if ties else len(pairs) == m + n - 1
             C = TORUS_LINF.pairwise(mu.points, nu.points)
             arcs = np.ravel_multi_index(pairs.T, C.shape)
             model = _transport_model(mu.weights, nu.weights, arcs)
             assert linprog(np.take(C, arcs), model=model).status == 0
-
-    def test_hilbert_order_steps_to_a_neighbouring_cell(self):
-        """Along the curve, consecutive grid cells share a face."""
-        from widthlab.transport import _hilbert_order
-        from widthlab.util import midpoint_grid
-
-        for d, res in ((1, 64), (2, 32), (3, 8)):
-            pts = midpoint_grid(d, res)
-            path = pts[_hilbert_order(pts)] * res
-            steps = np.abs(np.diff(path, axis=0)).sum(axis=1)
-            np.testing.assert_allclose(steps, 1.0)
 
     def test_round_without_new_arcs_rescales_costs(self, monkeypatch):
         """HiGHS accepts duals feasible to 1e-7, so a round can find its only
@@ -248,11 +254,11 @@ class TestW1Exact:
         np.testing.assert_array_equal(costs[1], costs[0] * 2.0**10)
 
     def test_no_restricted_lp_is_infeasible(self, monkeypatch):
-        """No restricted LP is infeasible: the coarsest level contains a
-        north-west-corner plan and every finer level the split plan of the
-        level before, both meeting the margins.  On this instance the
-        nearest-neighbour arcs of the 64^2 grid alone (``_initial_pairs``)
-        make an infeasible LP."""
+        """No restricted LP is infeasible: every level contains the split
+        plan of the level before, which meets the margins; at the coarsest
+        level that is the north-west-corner plan, atoms in input order.  On
+        this instance the nearest-neighbour arcs of the 64^2 grid alone
+        (``_initial_pairs``) make an infeasible LP."""
         from widthlab import transport
         from widthlab.util import spawn_rng
 
@@ -272,10 +278,11 @@ class TestW1Exact:
 
     def test_finer_levels_start_from_tight_arcs_and_the_split_plan(self, monkeypatch):
         """On the 64^2 grid against 256 atoms the coarsest level starts with
-        no basis.  Every finer level starts from the split plan as its basis,
-        and beside it only from arcs tight for the column duals of the level
-        before and their c-transform, at least one per row; no HiGHS run
-        finds its restricted LP infeasible."""
+        no basis, from the nearest arcs and the north-west-corner support.
+        Every finer level starts from the split plan as its basis, and beside
+        it only from arcs tight for the column duals of the level before and
+        their c-transform, at least one per row; no HiGHS run finds its
+        restricted LP infeasible."""
         from widthlab import transport
         from widthlab.util import spawn_rng
 
@@ -330,16 +337,48 @@ class TestW1Exact:
                 assert w1_exact(grid, emp, metric) == pytest.approx(
                     w1_assignment_oracle(grid, emp, metric), abs=1e-12)
 
+    def test_value_does_not_depend_on_atom_order(self):
+        """Input order picks the north-west-corner support, so permuting the
+        atoms of both measures changes the starting arcs but not the value:
+        the 32^2 grid against 64 atoms matches the assignment oracle, and the
+        4,096-atom grid on [0,1] against 64 atoms the CDF formula."""
+        from functools import partial
+
+        from widthlab.util import spawn_rng
+
+        for d, res, oracle in ((2, 32, partial(w1_assignment_oracle, metric=CUBE_LINF)),
+                               (1, 4096, w1_1d_cdf)):
+            grid = DiscreteMeasure.uniform_grid(d, res)
+            for seed in range(3):
+                emp = DiscreteMeasure.empirical(spawn_rng(seed, 64, 0).random((64, d)))
+                rng = np.random.default_rng(seed)
+                value = w1_exact(permuted(rng, grid), permuted(rng, emp), CUBE_LINF)
+                assert value == pytest.approx(oracle(grid, emp), abs=1e-12)
+
+    def test_zero_weight_atoms_are_dropped(self):
+        """A 64^2 grid carrying zero weight on a quarter of its atoms is
+        solved as the 3,072-atom measure without them, coarse to fine."""
+        from widthlab.util import spawn_rng
+
+        grid = DiscreteMeasure.uniform_grid(2, 64)
+        zero = np.arange(grid.size) % 4 == 1
+        weights = np.where(zero, 0.0, 1.0 / (~zero).sum())
+        emp = DiscreteMeasure.empirical(spawn_rng(5, 64, 0).random((64, 2)))
+        with_zeros = w1_exact(DiscreteMeasure(grid.points, weights), emp, CUBE_LINF)
+        kept = DiscreteMeasure(grid.points[~zero], weights[~zero])
+        assert kept.size >= 1024
+        assert with_zeros == pytest.approx(w1_exact(kept, emp, CUBE_LINF), abs=1e-12)
+
     @pytest.mark.parametrize("metric", [CUBE_LINF, TORUS_LINF, TorusMetricConfig("ell_2", True)],
                              ids=["cube-linf", "torus-linf", "torus-l2"])
     @pytest.mark.parametrize("m,n", [(60, 12), (200, 9)])
     def test_warm_model_from_north_west_support_matches_dense_lp(self, m, n, metric,
                                                                  monkeypatch):
-        """Started from a north-west-corner support alone, in random orders,
-        the one model per level gains arcs over several rounds.  Its value
-        must match a dense ``scipy.optimize.linprog`` solve over every arc,
-        and so must the dual bound ``a.u + b.v`` of its column duals and
-        their c-transform."""
+        """Started from the north-west-corner support alone, on measures whose
+        atoms come in random orders, the one model per level gains arcs over
+        several rounds.  Its value must match a dense
+        ``scipy.optimize.linprog`` solve over every arc, and so must the dual
+        bound ``a.u + b.v`` of its column duals and their c-transform."""
         from scipy import sparse
         from scipy.optimize import linprog as dense_linprog
 
@@ -347,9 +386,10 @@ class TestW1Exact:
 
         rng = np.random.default_rng(m + n)
         mu, nu = random_measure(rng, m, 2), random_measure(rng, n, 2)
+        mu, nu = permuted(rng, mu), permuted(rng, nu)
         a, b = mu.weights, nu.weights
         C = metric.pairwise(mu.points, nu.points)
-        pairs = transport._north_west_pairs(a, b, rng.permutation(m), rng.permutation(n))
+        pairs = north_west_support(a, b)
         columns = []
         linprog = transport.linprog
 
@@ -380,6 +420,20 @@ class TestW1Exact:
             DiscreteMeasure(np.array([[0.5]]), np.array([0.9]))
         with pytest.raises(TransportError):
             DiscreteMeasure(np.zeros((0, 1)), np.zeros(0))
+
+    @pytest.mark.parametrize("points,weights,message", [
+        ([[0.2], [0.4]], [1.0], "equal length"),
+        ([[0.2], [0.4]], [1.5, -0.5], "nonnegative"),
+        ([[0.2], [1.0]], [0.5, 0.5], r"\[0, 1\)"),
+        ([[-0.1, 0.5]], [1.0], r"\[0, 1\)"),
+    ], ids=["lengths", "negative-weight", "coordinate-one", "negative-coordinate"])
+    def test_invalid_measure_rejected(self, points, weights, message):
+        with pytest.raises(TransportError, match=message):
+            DiscreteMeasure(np.array(points), np.array(weights))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(TransportError, match="resolution"):
+            DiscreteMeasure.uniform_grid(2, 0)
 
 
 def test_perfbench_tracer_sees_every_lp(monkeypatch):
