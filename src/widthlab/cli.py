@@ -34,8 +34,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
-    kernels.QuadratureError,
-    OptimizationError,
+    OptimizationError,  # kernels.QuadratureError too
     np.linalg.LinAlgError,
     ArithmeticError,  # overflow, underflow to a zero divisor, FloatingPointError
 )
@@ -341,14 +340,13 @@ def _run_schedule(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
     params = separation.SeparationParams(
         alpha=p["alpha"], beta=p["beta"], c_fast=p["c-fast"], c_slow=p["c-slow"])
-    sched = separation.build_schedule(params, p["k-max"])
     rows = [{"k": e.k, "log2_n": e.log2_n, "log_m": e.log_m, "log_t": e.log_t,
              "effective_exponent": e.effective_exponent,
              "m_rounded": e.m_rounded if e.m_rounded is not None else ""}
-            for e in sched.entries]
-    tail = {str(k): separation.tail_sum_bound(k).log2
+            for e in separation.build_schedule(params, p["k-max"])]
+    tail = {str(k): separation.tail_sum_bound_log2(k)
             for k in range(1, min(p["k-max"], separation.MAX_TAIL_K) + 1)}
-    summary = {"limiting_exponent": sched.limiting_exponent(),
+    summary = {"limiting_exponent": separation.width_exponent(p["alpha"], p["beta"]),
                "entries": rows, "tail_bound_log2": tail,
                "tail_domination_log2": {str(k): separation.tail_domination_log2(k)
                                         for k in map(int, tail)}}
@@ -455,7 +453,6 @@ def _run_kernels(cfg: RunConfig) -> RunOutput:
         return RunOutput(header=["index", "eig_ntk", "eig_rf"], rows=rows,
                          summary=summary)
     if kind == "random_feature_relu_gaussian":
-        spec = kernels.KernelSpec(kind=kind, d=d)
         phis = np.linspace(0.0, math.pi, 9)
         rows = []
         for i, phi in enumerate(phis):
@@ -463,7 +460,7 @@ def _run_kernels(cfg: RunConfig) -> RunOutput:
             x[0] = 1.0
             y = np.zeros(d)
             y[0], y[1] = math.cos(phi), math.sin(phi)
-            est, se = kernels.mc_kernel(spec, x, y, samples=p["samples"],
+            est, se = kernels.mc_kernel(kind, x, y, samples=p["samples"],
                                         seed=cfg.seed + i)
             rows.append({"phi": float(phi), "closed_form": kernels.arccos_kernel(phi),
                          "mc_estimate": est, "mc_se": se})
@@ -481,8 +478,7 @@ def _run_kernels(cfg: RunConfig) -> RunOutput:
                "flags": {str(k): v for k, v in spec_obj.flags.items()},
                "trace_sum": spec_obj.trace_sum()}
     if p["n"]:
-        ks = kernels.KernelSpec(kind="random_feature_relu_sphere", d=d)
-        ev = kernels.nystrom_spectrum(ks, n=p["n"], seed=cfg.seed)
+        ev = kernels.nystrom_spectrum(d, n=p["n"], seed=cfg.seed)
         summary["nystrom_top"] = [float(v) for v in ev[:30]]
     positive = [(e.k, e.value) for e in spec_obj.degrees if e.k >= 1 and e.value > 0]
     plot = None

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy import special
 
-from .util import spawn_rng
+from .util import OptimizationError, spawn_rng
 
 __all__ = [
     "KernelError",
@@ -63,7 +63,6 @@ __all__ = [
     "zonal_relu_scale",
     "arccos_kernel",
     "uniform_sphere_points",
-    "KernelSpec",
     "mc_kernel",
     "GramResult",
     "ntk_gram",
@@ -83,7 +82,7 @@ class UnsupportedDegreeError(KernelError):
     """Closed-form eigenvalue requested outside its validity range (k < 2)."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(OptimizationError):
     """Quadrature refinement did not converge to the requested tolerance."""
 
 
@@ -235,70 +234,47 @@ def uniform_sphere_points(n: int, d: int, rng) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family selector.
-
-    kinds:
-      - ``random_feature_relu_sphere``: inputs on S^d in R^(d+1), weights
-        uniform on the same sphere, no bias.  Spectrum tables and Nystrom
-        use the matching first-order zonal operator.
-      - ``random_feature_relu_gaussian``: inputs in R^d, weights Gaussian
-        with variance 2 (so unit inputs reproduce :func:`arccos_kernel`),
-        no bias.
-      - ``ntk_relu``: tangent kernel of ``a s(w.x + b)`` at symmetric
-        ``|a| = a0`` and unit ``(w, b)``.
-    """
-
-    kind: str
-    d: int
-    a0: Optional[float] = None
-
-    def __post_init__(self):
-        kinds = ("random_feature_relu_sphere", "random_feature_relu_gaussian", "ntk_relu")
-        if self.kind not in kinds:
-            raise KernelError(f"kind must be one of {kinds}, got {self.kind!r}")
-        if self.d < 1:
-            raise KernelError("d must be >= 1")
-        if self.kind == "ntk_relu" and (self.a0 is None or self.a0 <= 0):
-            raise KernelError("ntk_relu needs a positive a0")
-
-
 def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _feature_matrix(spec: KernelSpec, X: np.ndarray, samples: int, rng):
-    """Feature activations (n_points, samples) of a random-feature kind."""
-    if spec.kind == "random_feature_relu_sphere":
-        W = uniform_sphere_points(samples, spec.d, rng)
-        if X.shape[1] != spec.d + 1:
-            raise KernelError(f"sphere kind expects points in R^{spec.d + 1}")
-    else:
-        W = math.sqrt(2.0) * rng.standard_normal((samples, X.shape[1]))
-    return _relu(X @ W.T)
-
-
-def mc_kernel(spec: KernelSpec, x, y, samples: int = 10_000,
-              seed: int = 0) -> Tuple[float, float]:
+def mc_kernel(kind: str, x, y, samples: int, seed: int,
+              a0: Optional[float] = None) -> Tuple[float, float]:
     """Unbiased Monte-Carlo kernel value with its standard error.
+
+    kinds (the input dimension is the length of ``x``):
+      - ``random_feature_relu_sphere``: inputs on the unit sphere, weights
+        uniform on the same sphere, no bias;
+      - ``random_feature_relu_gaussian``: weights Gaussian with variance 2
+        (so unit inputs reproduce :func:`arccos_kernel`), no bias;
+      - ``ntk_relu``: tangent kernel of ``a s(w.x + b)`` at symmetric
+        ``|a| = a0`` and unit ``(w, b)``; the only kind that reads ``a0``.
 
     The same parameter draw is used for both arguments, so estimates at
     (x, y) and (y, x) under one seed coincide exactly.
     """
+    kinds = ("random_feature_relu_sphere", "random_feature_relu_gaussian", "ntk_relu")
+    if kind not in kinds:
+        raise KernelError(f"kind must be one of {kinds}, got {kind!r}")
+    if kind == "ntk_relu" and (a0 is None or a0 <= 0):
+        raise KernelError("ntk_relu needs a positive a0")
     if samples < 100:
         raise KernelError("samples must be >= 100")
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
     rng = spawn_rng(seed)
     X = np.vstack([x, y])
-    if spec.kind == "ntk_relu":
-        pre, a = _ntk_features(X, spec.a0, samples, rng)
+    if kind == "ntk_relu":
+        pre, a = _ntk_features(X, a0, samples, rng)
         feat, dfeat = _relu(pre), (pre > 0).astype(float)
         grad = (a**2) * dfeat[0] * dfeat[1] * (X @ X.T + 1.0)[0, 1]
         prods = feat[0] * feat[1] + grad
     else:
-        feats = _feature_matrix(spec, X, samples, rng)
+        if kind == "random_feature_relu_sphere":
+            W = uniform_sphere_points(samples, X.shape[1] - 1, rng)
+        else:
+            W = math.sqrt(2.0) * rng.standard_normal((samples, X.shape[1]))
+        feats = _relu(X @ W.T)
         prods = feats[0] * feats[1]
     est = float(prods.mean())
     se = float(prods.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -393,23 +369,22 @@ def ntk_gram(points, a0: float, param_samples: int = 8192, seed: int = 0) -> Ntk
 MAX_NYSTROM_POINTS = 5000
 
 
-def nystrom_spectrum(spec: KernelSpec, n: int, seed: int = 0) -> np.ndarray:
-    """Nonincreasing eigenvalues of Gram/n on n uniform sphere samples.
+def nystrom_spectrum(d: int, n: int, seed: int = 0) -> np.ndarray:
+    """Nonincreasing eigenvalues of Gram/n on n uniform samples of S^d.
 
-    Only the sphere random-feature kind has a Nystrom spectrum: its Gram
-    realizes the scaled first-order zonal operator (closed form
-    ``zonal_relu_scale(d) * relu(x.y)``), whose spectrum the eigenvalue
-    tables follow; its top eigenvalues form plateaus of width
-    ``multiplicity(d, k)``.
+    The Gram is that of the sphere random-feature kind (weights uniform on
+    the inputs' sphere, no bias): it realizes the scaled first-order zonal
+    operator (closed form ``zonal_relu_scale(d) * relu(x.y)``), whose
+    spectrum the eigenvalue tables follow; its top eigenvalues form
+    plateaus of width ``multiplicity(d, k)``.
     """
-    if spec.kind != "random_feature_relu_sphere":
-        raise KernelError(f"Nystrom spectra need kind random_feature_relu_sphere, "
-                          f"got {spec.kind!r}")
+    if d < 1:
+        raise KernelError("d must be >= 1")
     if n < 1 or n > MAX_NYSTROM_POINTS:
         raise KernelError(f"n must lie in [1, {MAX_NYSTROM_POINTS}]")
     # points on S^d in R^(d+1), matching the spectrum tables
-    X = uniform_sphere_points(n, spec.d, spawn_rng(seed))
-    scale = zonal_relu_scale(spec.d) if spec.d >= 2 else 1.0
+    X = uniform_sphere_points(n, d, spawn_rng(seed))
+    scale = zonal_relu_scale(d) if d >= 2 else 1.0
     return _gram_result(scale * _relu(X @ X.T) / n).eigenvalues
 
 

@@ -168,16 +168,7 @@ class ScheduleEntry:
     m_rounded: Optional[int]  # nearest integer to m_k when representable
 
 
-@dataclass(frozen=True)
-class Schedule:
-    params: SeparationParams
-    entries: List[ScheduleEntry]
-
-    def limiting_exponent(self) -> float:
-        return float(width_exponent(float(self.params.alpha), float(self.params.beta)))
-
-
-def build_schedule(params: SeparationParams, k_max: int) -> Schedule:
+def build_schedule(params: SeparationParams, k_max: int) -> List[ScheduleEntry]:
     """Scales ``n_k = 2**(k**k)``, ``m_k = n_k**(k/(alpha-beta))`` and
     ``t_k = c_slow/(2 c_fast) * n_k**(k-1)``, all in the log domain.
 
@@ -210,26 +201,17 @@ def build_schedule(params: SeparationParams, k_max: int) -> Schedule:
                 effective_exponent=eff, m_rounded=m_rounded,
             )
         )
-    return Schedule(params=params, entries=entries)
+    return entries
 
 
 MAX_TAIL_K = 8
 _TAIL_TERMS = 50
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """Rigorous upper bound on ``n_k * sum_{l>k} 1/n_l`` in log2 form.
-
-    The raw value underflows float64 from k=4 on, so consumers compare
-    ``log2`` values.
-    """
-
-    log2: float
-
-
-def tail_sum_bound(k: int) -> TailBound:
-    """Upper-bound ``n_k * sum_{l>k} 1/n_l`` with ``n_l = 2**(l**l)``.
+def tail_sum_bound_log2(k: int) -> float:
+    """log2 of an upper bound on ``n_k * sum_{l>k} 1/n_l`` with
+    ``n_l = 2**(l**l)``; the raw value underflows float64 from k=4 on, so
+    consumers compare ``log2`` values.
 
     Partial sums run to ``l = k + 50``; the remainder is covered by a
     geometric estimate (consecutive terms shrink by at least a factor 2
@@ -242,7 +224,7 @@ def tail_sum_bound(k: int) -> TailBound:
     log2_terms = [float(kk - l**l) for l in range(k + 1, k + 1 + _TAIL_TERMS)]
     l_rem = k + 1 + _TAIL_TERMS
     log2_terms.append(float(kk - l_rem**l_rem) + 1.0)  # geometric remainder
-    return TailBound(log2=logsumexp2(log2_terms))
+    return logsumexp2(log2_terms)
 
 
 def tail_domination_log2(k: int) -> float:

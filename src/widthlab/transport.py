@@ -10,13 +10,13 @@ of the smoothed evaluation functionals
 which stays bounded uniformly in n when ``eps = gamma_d n**(-1/d)``.
 
 Conventions.  Points live in ``[0,1)^d``.  The default ground norm is the
-sup norm, whose balls are axis-aligned cubes: volumes and pairwise
-intersection volumes are exact products, removing one quadrature error
-source.  Balls are interpreted periodically (distances wrap per
-coordinate) so boundary effects vanish; the empirical-rate experiment
-defaults to the plain unit cube, where the covering bound argument also
-applies verbatim, and reports the surrogate on torus balls whatever its
-ground metric.
+sup norm.  The ball layer (intersection volumes, indicator sums, the
+surrogate) knows one metric only: sup-norm balls on the flat torus, that is
+axis-aligned cubes whose distances wrap per coordinate, so volumes and
+pairwise intersection volumes are exact products and boundary effects
+vanish.  The empirical-rate experiment defaults to the plain unit cube for
+W1, where the covering bound argument also applies verbatim, and reports
+the surrogate on torus balls whatever its ground metric.
 """
 
 from __future__ import annotations
@@ -91,12 +91,6 @@ class TorusMetricConfig:
             else:
                 out += np.square(slab, out=slab)
         return out if self.norm == "ell_inf" else np.sqrt(out, out=out)
-
-    def unit_ball_volume(self, d: int) -> float:
-        """Lebesgue volume of the radius-1 ball for this norm."""
-        if self.norm == "ell_inf":
-            return 2.0**d
-        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 CUBE_LINF = TorusMetricConfig(norm="ell_inf", periodic=False)
@@ -488,7 +482,10 @@ def covering_lower_bound(n: int, d: int, metric: TorusMetricConfig = TORUS_LINF)
     """
     if n < 1 or d < 1:
         raise TransportError("n and d must be positive")
-    omega = metric.unit_ball_volume(d)
+    if metric.norm == "ell_inf":
+        omega = 2.0**d
+    else:
+        omega = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     return d / (d + 1.0) * ((d + 1.0) * omega) ** (-1.0 / d) * n ** (-1.0 / d)
 
 
@@ -497,87 +494,78 @@ def covering_lower_bound(n: int, d: int, metric: TorusMetricConfig = TORUS_LINF)
 # ---------------------------------------------------------------------------
 
 
-def _check_balls(epsilon: float, metric: TorusMetricConfig):
-    """Sup-norm balls of positive radius, below 1/4 under periodicity so
-    that no ball wraps onto itself."""
-    if metric.norm != "ell_inf":
-        raise TransportError("ball intersections are computed for the sup norm only")
-    if epsilon <= 0:
-        raise TransportError("epsilon must be positive")
-    if metric.periodic and epsilon >= 0.25:
-        raise TransportError("epsilon must be < 1/4 for periodic balls")
+def _check_balls(epsilon: float):
+    """Torus balls of positive radius below 1/4, so that no ball wraps onto
+    itself."""
+    if not 0 < epsilon < 0.25:
+        raise TransportError(f"epsilon must lie in (0, 1/4) for torus balls, got {epsilon}")
 
 
-def ball_intersection_volume(offset, epsilon: float,
-                             metric: TorusMetricConfig = TORUS_LINF) -> np.ndarray:
-    """Volume of the overlap of two radius-eps balls at the given offset.
+def ball_intersection_volume(offset, epsilon: float) -> np.ndarray:
+    """Volume of the overlap of two radius-eps sup-norm torus balls at the
+    given offset.
 
     The last axis of ``offset`` holds the coordinates, so an array of
-    offsets gives an array of volumes (one offset gives a float).  Exact for
-    the sup norm: the overlap factorizes per coordinate into
-    ``max(0, 2 eps - dist_i)``.
+    offsets gives an array of volumes (one offset gives a float).  Exact:
+    the overlap factorizes per coordinate into ``max(0, 2 eps - dist_i)``,
+    with ``dist_i`` the wrapped coordinate distance.
     """
-    _check_balls(epsilon, metric)
+    _check_balls(epsilon)
     delta = np.abs(np.asarray(offset, dtype=float))
-    if metric.periodic:
-        delta = np.minimum(delta, 1.0 - delta)
+    delta = np.minimum(delta, 1.0 - delta)
     return np.prod(np.maximum(0.0, 2.0 * epsilon - delta), axis=-1)
 
 
-def ball_intersection_volume_mc(offset, epsilon: float,
-                                metric: TorusMetricConfig, samples: int = 100_000,
+def ball_intersection_volume_mc(offset, epsilon: float, samples: int = 100_000,
                                 seed: int = 0) -> Tuple[float, float]:
     """Monte-Carlo overlap volume (rejection from one ball), with std error:
     the independent reference for :func:`ball_intersection_volume`."""
-    _check_balls(epsilon, metric)
+    _check_balls(epsilon)
     offset = np.atleast_1d(np.asarray(offset, dtype=float))
     d = offset.size
     rng = np.random.default_rng(seed)
     diff = rng.uniform(-epsilon, epsilon, size=(samples, d)) - offset
-    if metric.periodic:
-        diff = diff - np.round(diff)
+    diff = diff - np.round(diff)
     inside = np.max(np.abs(diff), axis=1) <= epsilon
-    vol_ball = metric.unit_ball_volume(d) * epsilon**d
+    vol_ball = 2.0**d * epsilon**d
     frac = inside.mean()
     se = vol_ball * float(np.sqrt(frac * (1 - frac) / samples))
     return float(vol_ball * frac), se
 
 
-def indicator_sum_l2(centers, epsilon: float,
-                     metric: TorusMetricConfig = TORUS_LINF) -> float:
-    """Squared L2 norm of the sum of the n ball indicators.
+def indicator_sum_l2(centers, epsilon: float) -> float:
+    """Squared L2 norm of the sum of the n torus ball indicators.
 
     Equals ``n omega_d eps^d`` plus the sum of all pairwise intersection
     volumes, that is the sum of the overlaps of every ordered pair of balls,
-    each with itself included; exact for the sup norm.  Rows of centres go
+    each with itself included; exact.  Rows of centres go
     in blocks of about 2^20 offsets, so memory stays flat in n.
     """
     centers = as_points(centers)
     n, d = centers.shape
     rows = max(1, (1 << 20) // (n * d))
     return float(sum(ball_intersection_volume(block[:, None, :] - centers[None, :, :],
-                                              epsilon, metric).sum()
+                                              epsilon).sum()
                      for block in np.split(centers, range(rows, n, rows))))
 
 
-def default_gamma(d: int, metric: TorusMetricConfig = TORUS_LINF) -> float:
+def default_gamma(d: int) -> float:
     """Ball-scale constant keeping the covering bound's bracket positive.
 
-    One quarter of the covering constant divided by ``d/(d+1)``, the mean
-    radius ``|x|`` over the unit ball of either norm, so the smoothed
-    measure stays at least 3/4 of the covering bound away from the uniform
-    measure.
+    One quarter of the sup-norm covering constant divided by ``d/(d+1)``,
+    the mean radius ``|x|`` over the unit ball, so the smoothed measure
+    stays at least 3/4 of the covering bound away from the uniform measure.
     """
-    return 0.25 * covering_lower_bound(1, d, metric) / (d / (d + 1.0))
+    return 0.25 * covering_lower_bound(1, d) / (d / (d + 1.0))
 
 
-def smoothing_l2_surrogate(centers, epsilon: float,
-                           metric: TorusMetricConfig = TORUS_LINF) -> float:
-    """Realized L2 operator-norm surrogate ``|sum 1_B|_2 / (n omega eps^d)``."""
+def smoothing_l2_surrogate(centers, epsilon: float) -> float:
+    """Realized L2 operator-norm surrogate ``|sum 1_B|_2 / (n omega eps^d)``
+    on torus balls, ``omega = 2^d``."""
     centers = as_points(centers)
     n, d = centers.shape
-    mass = n * metric.unit_ball_volume(d) * epsilon**d
-    return float(math.sqrt(indicator_sum_l2(centers, epsilon, metric)) / mass)
+    mass = n * 2.0**d * epsilon**d
+    return float(math.sqrt(indicator_sum_l2(centers, epsilon)) / mass)
 
 
 def smoothing_operator_constant(d: int, gamma: float) -> float:
@@ -587,8 +575,7 @@ def smoothing_operator_constant(d: int, gamma: float) -> float:
     Their normalized mean intersection constant equals 1, giving
     ``sqrt((1 + (2 gamma)^d) / (omega_d gamma^d))`` with ``omega_d = 2^d``.
     """
-    omega = TORUS_LINF.unit_ball_volume(d)
-    return math.sqrt((1.0 + 2.0**d * gamma**d) / (omega * gamma**d))
+    return math.sqrt((1.0 + 2.0**d * gamma**d) / (2.0**d * gamma**d))
 
 
 # ---------------------------------------------------------------------------

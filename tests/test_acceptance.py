@@ -113,8 +113,7 @@ def test_criterion_03_nystrom_consistency():
     """Plateau widths 3 and 5 with 5%-accurate plateau means at n=2000."""
     t0 = time.time()
     d, n, seeds = 2, 2000, 5
-    spec = kernels.KernelSpec(kind="random_feature_relu_sphere", d=d)
-    tops = np.mean([kernels.nystrom_spectrum(spec, n=n, seed=s)[:12]
+    tops = np.mean([kernels.nystrom_spectrum(d, n=n, seed=s)[:12]
                     for s in range(seeds)], axis=0)
     lam1 = kernels.funk_hecke_eigenvalue(d, 1)      # below the closed form's range
     lam2 = kernels.exact_eigenvalue(d, 2)
@@ -141,8 +140,6 @@ def test_criterion_03_nystrom_consistency():
 def test_criterion_04_arccos_closed_form():
     """Monte-Carlo Gaussian features match the angle form, 20 seed reps."""
     t0 = time.time()
-    d = 2
-    spec = kernels.KernelSpec(kind="random_feature_relu_gaussian", d=d)
     angles = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
     full_matches = 0
     for seed in range(20):
@@ -150,7 +147,7 @@ def test_criterion_04_arccos_closed_form():
         for j, phi in enumerate(angles):
             x = np.array([1.0, 0.0])
             y = np.array([math.cos(phi), math.sin(phi)])
-            est, se = kernels.mc_kernel(spec, x, y, samples=100_000,
+            est, se = kernels.mc_kernel("random_feature_relu_gaussian", x, y, samples=100_000,
                                         seed=1000 * seed + j)
             # the 1e-12 absolute floor covers the zero-variance antipodal
             # case, where the closed form evaluates to an O(eps) residue
@@ -273,7 +270,7 @@ def test_criterion_08_separation_calculator():
         else:
             pipeline_ok &= not rep["valid"]
     tail_ok = all(
-        separation.tail_sum_bound(k).log2 <= separation.tail_domination_log2(k)
+        separation.tail_sum_bound_log2(k) <= separation.tail_domination_log2(k)
         for k in range(2, 7))
     elapsed = time.time() - t0
     ok = first_ok and pipeline_ok and tail_ok and elapsed < 1.0

@@ -10,7 +10,6 @@ from scipy import special
 from widthlab import kernels
 from widthlab.kernels import (
     KernelError,
-    KernelSpec,
     QuadratureError,
     UnsupportedDegreeError,
     arccos_kernel,
@@ -205,23 +204,31 @@ class TestMcKernel:
         return x, y
 
     def test_gaussian_features_match_closed_form(self):
-        spec = KernelSpec(kind="random_feature_relu_gaussian", d=3)
         for phi in (0.0, pi / 3, pi / 2):
             x, y = self._unit_pair(3, phi)
-            est, se = mc_kernel(spec, x, y, samples=40_000, seed=11)
+            est, se = mc_kernel("random_feature_relu_gaussian", x, y, samples=40_000, seed=11)
             assert abs(est - arccos_kernel(phi)) <= 3 * max(se, 1e-12)
 
     def test_same_seed_symmetry_is_exact(self):
-        spec = KernelSpec(kind="random_feature_relu_gaussian", d=4)
+        kind = "random_feature_relu_gaussian"
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        assert mc_kernel(spec, x, y, 500, seed=3) == mc_kernel(spec, y, x, 500, seed=3)
+        assert mc_kernel(kind, x, y, 500, seed=3) == mc_kernel(kind, y, x, 500, seed=3)
+
+    def test_invalid_arguments(self):
+        x, y = self._unit_pair(3, pi / 3)
+        with pytest.raises(KernelError, match="kind must be one of"):
+            mc_kernel("random_feature_tanh", x, y, samples=500, seed=0)
+        with pytest.raises(KernelError, match="samples"):
+            mc_kernel("random_feature_relu_gaussian", x, y, samples=99, seed=0)
+        for a0 in (None, 0.0, -1.0):
+            with pytest.raises(KernelError, match="a0"):
+                mc_kernel("ntk_relu", x, y, samples=500, seed=0, a0=a0)
 
     def test_rotationally_symmetric_samplers_agree_up_to_constant(self):
         """Uniform-sphere weights reproduce the Gaussian closed form times
         one global constant: ratios are flat across 50 pairs (CV < 2%)."""
         d = 2  # sphere S^2, inputs in R^3
-        spec = KernelSpec(kind="random_feature_relu_sphere", d=d)
         rng = np.random.default_rng(5)
         ratios = []
         while len(ratios) < 50:
@@ -229,7 +236,8 @@ class TestMcKernel:
             phi = math.acos(np.clip(x @ y, -1, 1))
             if arccos_kernel(phi) < 0.05:
                 continue  # near-antipodal pairs have no signal for a ratio
-            est, _ = mc_kernel(spec, x, y, samples=60_000, seed=100 + len(ratios))
+            est, _ = mc_kernel("random_feature_relu_sphere", x, y, samples=60_000,
+                               seed=100 + len(ratios))
             ratios.append(est / arccos_kernel(phi))
         ratios = np.asarray(ratios)
         assert ratios.std() / ratios.mean() < 0.02
@@ -280,16 +288,14 @@ class TestNtkSandwich:
         full Gram assembly at matching arguments."""
         rng = np.random.default_rng(12)
         x = uniform_sphere_points(1, 3, rng)[0]
-        spec = KernelSpec(kind="ntk_relu", d=4, a0=1.5)
-        est, se = mc_kernel(spec, x, x, samples=60_000, seed=13)
+        est, se = mc_kernel("ntk_relu", x, x, samples=60_000, seed=13, a0=1.5)
         rep = ntk_gram(x.reshape(1, -1), a0=1.5, param_samples=60_000, seed=14)
         assert abs(est - rep.k_ntk.matrix[0, 0]) <= 4 * max(se, 1e-6)
 
 
 class TestNystrom:
     def test_sphere_plateaus_match_tables(self):
-        spec = KernelSpec(kind="random_feature_relu_sphere", d=2)
-        ev = nystrom_spectrum(spec, n=700, seed=1)
+        ev = nystrom_spectrum(2, n=700, seed=1)
         lam0 = funk_hecke_eigenvalue(2, 0)
         lam1 = funk_hecke_eigenvalue(2, 1)
         lam2 = exact_eigenvalue(2, 2)
@@ -299,23 +305,20 @@ class TestNystrom:
 
     def test_sphere_plateaus_second_dimension(self):
         """Same plateau agreement in another dimension (d=3: widths 1, 5, 9)."""
-        spec = KernelSpec(kind="random_feature_relu_sphere", d=3)
-        ev = nystrom_spectrum(spec, n=900, seed=2)
+        ev = nystrom_spectrum(3, n=900, seed=2)
         lam1 = funk_hecke_eigenvalue(3, 1)
         lam2 = exact_eigenvalue(3, 2)
         assert np.mean(ev[1:5]) == pytest.approx(lam1, rel=0.1)     # mult 4
         assert np.mean(ev[5:14]) == pytest.approx(lam2, rel=0.15)   # mult 9
 
     def test_point_budget(self):
-        spec = KernelSpec(kind="random_feature_relu_sphere", d=2)
         with pytest.raises(KernelError):
-            nystrom_spectrum(spec, n=5001)
+            nystrom_spectrum(2, n=5001)
 
-    @pytest.mark.parametrize("spec", [KernelSpec(kind="random_feature_relu_gaussian", d=3),
-                                      KernelSpec(kind="ntk_relu", d=3, a0=1.0)])
-    def test_only_the_sphere_kind(self, spec):
-        with pytest.raises(KernelError, match="random_feature_relu_sphere"):
-            nystrom_spectrum(spec, n=10)
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_below_one(self, d):
+        with pytest.raises(KernelError, match="d must be"):
+            nystrom_spectrum(d, n=10)
 
 
 class TestSpectrumAssembly:

@@ -13,7 +13,7 @@ from widthlab.separation import (
     build_schedule,
     rate_exponent_pipeline,
     tail_domination_log2,
-    tail_sum_bound,
+    tail_sum_bound_log2,
     width_bound,
     width_exponent,
 )
@@ -113,36 +113,36 @@ class TestWidthLowerBound:
 class TestSchedule:
     def test_log2_n_is_k_to_the_k(self):
         sched = build_schedule(SeparationParams(alpha=1.0, beta=0.25), k_max=3)
-        assert [e.log2_n for e in sched.entries] == [1, 4, 27]
+        assert [e.log2_n for e in sched] == [1, 4, 27]
 
     def test_first_scale_is_threshold(self):
         params = SeparationParams(alpha=1.0, beta=0.25, c_fast=2.0, c_slow=3.0)
         sched = build_schedule(params, k_max=1)
-        assert sched.entries[0].log_t == pytest.approx(math.log(3.0 / 4.0), rel=1e-15)
+        assert sched[0].log_t == pytest.approx(math.log(3.0 / 4.0), rel=1e-15)
 
     def test_log_m_formula(self):
         params = SeparationParams(alpha=1.0, beta=0.25)
         sched = build_schedule(params, k_max=4)
         gap = 0.75
-        for e in sched.entries:
+        for e in sched:
             assert e.log_m == pytest.approx((e.k / gap) * e.log2_n * math.log(2.0), rel=1e-14)
 
     def test_effective_exponent_decreases_to_limit(self):
         params = SeparationParams(alpha=1.0, beta=0.25)
         sched = build_schedule(params, k_max=10)
-        effs = [e.effective_exponent for e in sched.entries]
+        effs = [e.effective_exponent for e in sched]
         assert effs[0] == math.inf
         finite = effs[1:]
         assert all(a > b for a, b in zip(finite, finite[1:]))
-        limit = sched.limiting_exponent()
+        limit = width_exponent(params.alpha, params.beta)
         assert all(e > limit for e in finite)
         assert finite[-1] == pytest.approx(limit + 1.0 / (9 * 0.75), rel=1e-12)
 
     def test_m_rounded_reported_when_small(self):
         sched = build_schedule(SeparationParams(alpha=1.0, beta=0.25), k_max=2)
         # m_1 = 2**(1/0.75) ~ 2.52, m_2 = 16**(2/0.75) ~ 1625498.6
-        assert sched.entries[0].m_rounded == 3
-        assert sched.entries[1].m_rounded == round(16 ** (2 / 0.75))
+        assert sched[0].m_rounded == 3
+        assert sched[1].m_rounded == round(16 ** (2 / 0.75))
 
     def test_schedule_rejects_beta_at_or_above_half_alpha(self):
         with pytest.raises(ScheduleError, match="boundary"):
@@ -158,32 +158,32 @@ class TestSchedule:
 class TestTailSum:
     def test_k1_value_frozen(self):
         # dominant terms: n_1 * (1/n_2 + 1/n_3 + ...) = 2*(2**-4 + 2**-27 + ...)
-        tb = tail_sum_bound(1)
-        assert 2.0**tb.log2 == pytest.approx(0.12500001490116119, rel=1e-14)
+        tb = tail_sum_bound_log2(1)
+        assert 2.0**tb == pytest.approx(0.12500001490116119, rel=1e-14)
 
     def test_k2_value(self):
         # 16 * 2**-27 * (1 + 2**-229 + ...) = 2**-23 up to float resolution
-        tb = tail_sum_bound(2)
-        assert tb.log2 == pytest.approx(-23.0, abs=1e-12)
-        assert 2.0**tb.log2 <= 2.0**-23 * (1 + 1e-12)
+        tb = tail_sum_bound_log2(2)
+        assert tb == pytest.approx(-23.0, abs=1e-12)
+        assert 2.0**tb <= 2.0**-23 * (1 + 1e-12)
 
     def test_domination_for_k_ge_2(self):
         """n_k * tail <= 2 * n_k**-k, checked in the log domain."""
         for k in range(2, 9):
-            assert tail_sum_bound(k).log2 <= tail_domination_log2(k)
+            assert tail_sum_bound_log2(k) <= tail_domination_log2(k)
 
     def test_monotone_decreasing(self):
-        logs = [tail_sum_bound(k).log2 for k in range(1, 9)]
+        logs = [tail_sum_bound_log2(k) for k in range(1, 9)]
         assert all(a > b for a, b in zip(logs, logs[1:]))
 
     def test_underflow_reported(self):
         """The bound lies below the smallest subnormal, so only its log2,
         which stays finite, carries it."""
-        tb = tail_sum_bound(5)
-        assert math.isfinite(tb.log2) and tb.log2 < -1074
-        assert 2.0**tb.log2 == 0.0
+        tb = tail_sum_bound_log2(5)
+        assert math.isfinite(tb) and tb < -1074
+        assert 2.0**tb == 0.0
 
     def test_out_of_range(self):
         for k in (0, 9):
             with pytest.raises(ParameterError):
-                tail_sum_bound(k)
+                tail_sum_bound_log2(k)

@@ -566,30 +566,41 @@ class TestCoveringBound:
 class TestBalls:
     def test_full_overlap(self):
         for d in (1, 2, 3):
-            vol = ball_intersection_volume(np.zeros(d), 0.1, TORUS_LINF)
+            vol = ball_intersection_volume(np.zeros(d), 0.1)
             assert vol == pytest.approx(0.2**d, rel=1e-12)
 
     def test_disjoint(self):
-        assert ball_intersection_volume(np.array([0.5, 0.0]), 0.1, TORUS_LINF) == 0.0
+        assert ball_intersection_volume(np.array([0.5, 0.0]), 0.1) == 0.0
 
     def test_half_offset_hand_case(self):
-        # d=2, eps=1/4, offset (1/4, 0), cube (no wrap): (2e-1/4)(2e) = 1/8
-        vol = ball_intersection_volume(np.array([0.25, 0.0]), 0.25, CUBE_LINF)
-        assert vol == pytest.approx(1 / 8, rel=1e-12)
+        # d=2, eps=1/5, offset (1/5, 0): (2e-1/5)(2e) = 2/25
+        vol = ball_intersection_volume(np.array([0.2, 0.0]), 0.2)
+        assert vol == pytest.approx(2 / 25, rel=1e-12)
 
     def test_monte_carlo_cross_check(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             offset = rng.uniform(-0.3, 0.3, 2)
             eps = rng.uniform(0.05, 0.2)
-            exact = ball_intersection_volume(offset, eps, TORUS_LINF)
-            mc, se = ball_intersection_volume_mc(offset, eps, TORUS_LINF, samples=200_000,
-                                                 seed=9)
+            exact = ball_intersection_volume(offset, eps)
+            mc, se = ball_intersection_volume_mc(offset, eps, samples=200_000, seed=9)
             assert mc == pytest.approx(exact, abs=max(4 * se, 1e-4))
 
     def test_periodic_radius_guard(self):
         with pytest.raises(TransportError):
-            ball_intersection_volume(np.zeros(2), 0.3, TORUS_LINF)
+            ball_intersection_volume(np.zeros(2), 0.3)
+
+    @pytest.mark.parametrize("volume", [
+        ball_intersection_volume,
+        lambda offset, eps: ball_intersection_volume_mc(offset, eps, samples=1000)],
+        ids=["exact", "mc"])
+    def test_radius_bounds(self, volume):
+        """Torus balls need ``0 < eps < 1/4``: none at zero or negative
+        radius, and none that wraps onto itself."""
+        for eps in (0.0, -0.1, 0.25):
+            with pytest.raises(TransportError):
+                volume(np.zeros(2), eps)
+        volume(np.zeros(2), 0.2499)
 
     def test_indicator_sum_single_and_disjoint(self):
         one = indicator_sum_l2(np.array([[0.5, 0.5]]), 0.1)
@@ -603,7 +614,7 @@ class TestBalls:
         rng = np.random.default_rng(10)
         centers = rng.random((6, 2))
         eps = 0.11
-        exact = indicator_sum_l2(centers, eps, TORUS_LINF)
+        exact = indicator_sum_l2(centers, eps)
         res = 500
         axis = (np.arange(res) + 0.5) / res
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
