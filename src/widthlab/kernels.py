@@ -277,7 +277,7 @@ def mc_kernel(kind: str, x, y, samples: int, seed: int,
         feats = _relu(X @ W.T)
         prods = feats[0] * feats[1]
     est = float(prods.mean())
-    se = float(prods.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    se = float(prods.std(ddof=1) / math.sqrt(samples))
     return est, se
 
 

@@ -77,20 +77,33 @@ class TorusMetricConfig:
         if self.norm not in ("ell_inf", "ell_2"):
             raise TransportError(f"unsupported norm {self.norm!r}")
 
-    def pairwise(self, X, Y) -> np.ndarray:
-        """Distance matrix between rows of X and rows of Y, built from one m x n
-        slab per coordinate: a running max, or a running sum of squares."""
-        X, Y = np.asarray(X, float), np.asarray(Y, float)
-        out, slab = np.zeros((len(X), len(Y))), np.empty((len(X), len(Y)))
-        for x, y in zip(X.T, Y.T):
-            np.abs(np.subtract(x[:, None], y, out=slab), out=slab)
+    def _distance(self, X, Y, out, slab) -> np.ndarray:
+        """Distances between the points of X and Y (coordinates on the last
+        axis), elementwise over their broadcast leading axes, written into
+        ``out`` one coordinate at a time, with ``slab`` of the same shape as
+        scratch: a running max, or a running sum of squares.  Every distance
+        the module uses goes through here, so the same pair of points gives
+        the same bits whatever array it sits in."""
+        for k in range(X.shape[-1]):
+            gap = slab if k else out  # max(0, s) and 0 + s are s, so out starts as the first gap
+            np.abs(np.subtract(X[..., k], Y[..., k], out=gap), out=gap)
             if self.periodic:  # min(s, 1 - s): 1 - s is exact for s >= 1/2
-                np.subtract(1.0, slab, out=slab, where=slab > 0.5)
+                np.subtract(1.0, gap, out=gap, where=gap > 0.5)
+            if self.norm == "ell_2":
+                np.square(gap, out=gap)
+            if not k:
+                continue
             if self.norm == "ell_inf":
-                np.maximum(out, slab, out=out)
+                np.maximum(out, gap, out=out)
             else:
-                out += np.square(slab, out=slab)
+                out += gap
         return out if self.norm == "ell_inf" else np.sqrt(out, out=out)
+
+    def pairwise(self, X, Y) -> np.ndarray:
+        """Distance matrix between rows of X and rows of Y."""
+        X, Y = np.asarray(X, float), np.asarray(Y, float)
+        shape = (len(X), len(Y))
+        return self._distance(X[:, None, :], Y[None, :, :], np.empty(shape), np.empty(shape))
 
 
 CUBE_LINF = TorusMetricConfig(norm="ell_inf", periodic=False)
@@ -163,6 +176,7 @@ _REDUCED_COST_TOL = 1e-11
 _MULTISCALE_MIN_ATOMS = 1024  # smaller measures are solved at their own scale only
 _COARSEST_CELLS = 256  # the coarsest level is the finest dyadic grid with this many cells
 _STALL_SCALE = 2.0**10  # exact in binary, so scaled costs and values stay exact
+_BLOCK_ENTRIES = 1 << 16  # reduced costs are scanned in row blocks of at most this many arcs
 
 
 def _initial_pairs(C: np.ndarray) -> np.ndarray:
@@ -176,12 +190,34 @@ def _initial_pairs(C: np.ndarray) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def _warm_pairs(C, v) -> np.ndarray:
+def _cost_blocks(metric, X, Y):
+    """The cost matrix between the points X and Y as ``(first row, block)``
+    pairs in row order, each block built from the points and holding at
+    most ``_BLOCK_ENTRIES`` entries (one row at least).  Every block is
+    written into the same buffer, so each is gone once the next is drawn."""
+    rows = min(len(X), max(1, _BLOCK_ENTRIES // len(Y)))
+    out, slab = np.empty((rows, len(Y))), np.empty((rows, len(Y)))
+    for lo in range(0, len(X), rows):
+        k = min(rows, len(X) - lo)
+        yield lo, metric._distance(X[lo:lo + k, None, :], Y[None, :, :], out[:k], slab[:k])
+
+
+def _arc_costs(metric, X, Y, arcs) -> np.ndarray:
+    """The cost of each arc (a flat index into the cost matrix between the
+    points X and Y), from its two atoms."""
+    rows, cols = np.divmod(arcs, len(Y))
+    return metric._distance(X[rows], Y[cols], np.empty(len(arcs)), np.empty(len(arcs)))
+
+
+def _warm_pairs(metric, X, Y, v) -> np.ndarray:
     """Arcs tight for the column duals ``v`` and their c-transform
     ``u_i = min_j (C_ij - v_j)``: in each row, every arc whose reduced cost
     ``C_ij - v_j - u_i`` is zero, ties included."""
-    reduced = C - v
-    return np.argwhere(reduced == reduced.min(axis=1, keepdims=True))
+    tight = []
+    for lo, reduced in _cost_blocks(metric, X, Y):
+        reduced -= v
+        tight.append(np.argwhere(reduced == reduced.min(axis=1, keepdims=True)) + [lo, 0])
+    return np.concatenate(tight)
 
 
 def _levels(points: np.ndarray, weights: np.ndarray):
@@ -321,16 +357,19 @@ def linprog(cost, *, model) -> OptimizeResult:
     return res
 
 
-def _column_generation(C, a, b, pairs, basic):
+def _column_generation(metric, X, Y, a, b, pairs, basic):
     """Optimal cost, column duals ``v`` and optimal plan of the transport LP
-    with cost C; the plan is ``(pairs, flow)``, its arcs with positive flow.
+    between the atoms X (masses ``a``) and Y (masses ``b``) under ``metric``;
+    the plan is ``(pairs, flow)``, its arcs with positive flow.
 
     Builds one HiGHS model on ``pairs`` and ``basic``, starting from the
     basis that holds the arcs of ``basic`` (cold if it is None), and checks
     the duals of its optimum against every arc.  Arcs with negative reduced
     cost that the model lacks are appended as new columns, and HiGHS
     re-optimises from the basis it holds; this repeats until no arc is
-    violated, for at most 60 rounds.
+    violated, for at most 60 rounds.  Each column's cost comes from its two
+    atoms, and each round's check builds the costs one row block at a time
+    (``_cost_blocks``), so no m x n array is held.
 
     HiGHS stops once its duals are feasible to 1e-7, far above
     ``_REDUCED_COST_TOL``, so a violated arc may already be in the model.
@@ -338,36 +377,42 @@ def _column_generation(C, a, b, pairs, basic):
     ``_STALL_SCALE``, which tightens HiGHS's tolerance by the same factor,
     and it re-optimises from the same basis.
     """
-    m, n = C.shape
+    m, n = len(X), len(Y)
     start = pairs if basic is None else np.concatenate([pairs, basic])
-    arcs = np.unique(np.ravel_multi_index(start.T, C.shape))
+    arcs = np.unique(np.ravel_multi_index(start.T, (m, n)))
     model = _transport_model(a, b, arcs)
     if basic is not None:
-        _set_basis(model, np.isin(arcs, np.ravel_multi_index(basic.T, C.shape)))
-    scale, reduced = 1.0, np.empty_like(C)  # one buffer for every round's reduced costs
+        _set_basis(model, np.isin(arcs, np.ravel_multi_index(basic.T, (m, n))))
+    scale, cost = 1.0, _arc_costs(metric, X, Y, arcs)
     for _ in range(60):
-        lp = linprog(np.take(C, arcs) * scale, model=model)
+        lp = linprog(cost * scale, model=model)
         if lp.status != 0:
             raise OptimizationError(f"transport LP failed: {lp.message}")
         duals = lp.eqlin.marginals / scale
         u = duals[:m]
         v = np.concatenate([duals[m:], [0.0]])
-        np.subtract(C, u[:, None], out=reduced)
-        reduced -= v
-        violated = np.flatnonzero(reduced < -_REDUCED_COST_TOL)
+        violated, reduced = [], []
+        for lo, block in _cost_blocks(metric, X, Y):
+            np.subtract(block, u[lo:lo + len(block), None], out=block)
+            block -= v
+            hits = np.flatnonzero(block < -_REDUCED_COST_TOL)
+            violated.append(hits + lo * n)
+            reduced.append(np.take(block, hits))
+        violated = np.concatenate(violated)
         if violated.size == 0:
             flow = np.array(model.getSolution().col_value)
             used = flow > 0
             return float(lp.fun) / scale, v, (np.stack(np.divmod(arcs[used], n), axis=1),
                                                flow[used])
         if violated.size > 20_000:
-            violated = violated[np.argsort(np.take(reduced, violated))[:20_000]]
+            violated = violated[np.argsort(np.concatenate(reduced))[:20_000]]
         new = np.setdiff1d(violated, arcs)
         if new.size == 0:
             scale *= _STALL_SCALE
         else:
             _add_arcs(model, m, n, new)
             arcs = np.concatenate([arcs, new])
+            cost = np.concatenate([cost, _arc_costs(metric, X, Y, new)])
     raise OptimizationError("column generation did not certify optimality")
 
 
@@ -397,7 +442,15 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     Each level is one HiGHS model, solved by column generation: its optimum
     is certified against *all* arcs through its duals, and violated arcs are
     appended and re-optimised from the last optimal basis until the reduced
-    costs are clean.  The result equals the full LP's optimum.  Raises
+    costs are clean.  The result equals the full LP's optimum.
+
+    Memory follows the arcs, not m x n.  Beside HiGHS's models a solve
+    holds each restricted LP's arcs and their costs, each round's violated
+    arcs, one row block of the cost matrix at a time with its scratch slab
+    (at most 65,536 entries each, built from the points), and the coarsest
+    level's whole cost matrix, from which its nearest arcs are picked: at
+    most 256 rows where the measure is coarsened, and the measure's own
+    rows otherwise (fewer than 1,024 in up to eight dimensions).  Raises
     :class:`~widthlab.util.OptimizationError` when HiGHS fails or rejects a
     starting basis, or 60 rounds do not certify a level.
     """
@@ -406,21 +459,16 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise TransportError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     swap = mu.size < nu.size
     big, small = (nu, mu) if swap else (mu, nu)
-    b = small.weights
-    # every cost matrix is built before the first HiGHS model: the slab of
-    # pairwise would otherwise land on the heap fragments a solved level
-    # leaves, whose size varies from run to run, and set the peak
-    levels = [(metric.pairwise(points, small.points), a, cell_of)
-              for points, a, cell_of in _levels(big.points, big.weights)]
+    Y, b = small.points, small.weights
     # before the coarsest level, one cell holds all the mass and sends b_j to column j
     v, plan = None, (np.stack([np.zeros(len(b), dtype=np.int64), np.arange(len(b))], axis=1), b)
-    for C, a, cell_of in levels:
+    for X, a, cell_of in _levels(big.points, big.weights):
         split = _split_plan(plan, cell_of, a)[0]
         if v is None:
-            pairs, basic = np.concatenate([_initial_pairs(C), split]), None
+            pairs, basic = np.concatenate([_initial_pairs(metric.pairwise(X, Y)), split]), None
         else:
-            pairs, basic = _warm_pairs(C, v), split
-        value, v, plan = _column_generation(C, a, b, pairs, basic)
+            pairs, basic = _warm_pairs(metric, X, Y, v), split
+        value, v, plan = _column_generation(metric, X, Y, a, b, pairs, basic)
     return value
 
 

@@ -196,7 +196,8 @@ class TestW1Exact:
         monkeypatch.setattr(transport, "_column_generation", recorded_levels)
         monkeypatch.setattr(transport, "linprog", counted)
         assert w1_exact(grid, emp, CUBE_LINF) == pytest.approx(w1_1d_cdf(grid, emp), abs=1e-12)
-        first, (C, a, b, pairs, basic) = levels[-1]
+        first, (metric, X, Y, a, b, pairs, basic) = levels[-1]
+        C = metric.pairwise(X, Y)
         assert len(levels) == 3 and len(a) == 4096 and basic is not None
         arcs = np.unique(np.ravel_multi_index(np.concatenate([pairs, basic]).T, C.shape))
         cold = linprog(np.take(C, arcs), model=transport._transport_model(a, b, arcs))
@@ -289,9 +290,9 @@ class TestW1Exact:
         calls, statuses = [], []
         column_generation, linprog = transport._column_generation, transport.linprog
 
-        def recorded(C, a, b, pairs, basic):
-            out = column_generation(C, a, b, pairs, basic)
-            calls.append((C, pairs, basic, out[1]))
+        def recorded(metric, X, Y, a, b, pairs, basic):
+            out = column_generation(metric, X, Y, a, b, pairs, basic)
+            calls.append((metric.pairwise(X, Y), pairs, basic, out[1]))
             return out
 
         def counted(*args, **kwargs):
@@ -398,7 +399,8 @@ class TestW1Exact:
             return linprog(cost, **kwargs)
 
         monkeypatch.setattr(transport, "linprog", counted)
-        value, v, _ = transport._column_generation(C, a, b, pairs, None)
+        value, v, _ = transport._column_generation(metric, mu.points, nu.points, a, b, pairs,
+                                                   None)
         assert columns[0] == m + n - 1  # weights in general position
         assert len(columns) >= 3 and columns[-1] > columns[0]
 
@@ -409,6 +411,51 @@ class TestW1Exact:
         assert dense.status == 0
         assert value == pytest.approx(dense.fun, abs=1e-12)
         assert a @ (C - v).min(axis=1) + b @ v == pytest.approx(dense.fun, abs=1e-12)
+
+    def test_solve_holds_no_m_by_n_array(self):
+        """The 64^2 grid against 256 atoms: costs are checked one row block
+        at a time and each column is costed from its two atoms, so numpy's
+        traced peak stays below one finest m x n float matrix (8 MiB)."""
+        import tracemalloc
+
+        from widthlab.util import spawn_rng
+
+        grid = DiscreteMeasure.uniform_grid(2, 64)
+        emp = DiscreteMeasure.empirical(spawn_rng(20240801, 256, 0).random((256, 2)))
+        tracemalloc.start()
+        try:
+            w1_exact(grid, emp, CUBE_LINF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size * emp.size * 8
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "ragged-three-row-blocks"])
+    @pytest.mark.parametrize("d,res,n", [(2, 64, 256), (1, 4096, 64)],
+                             ids=["grid-64x64", "line-4096"])
+    def test_row_blocks_do_not_change_the_solve(self, d, res, n, rows, monkeypatch):
+        """Blocks are scanned in row order and every entry is the same float
+        operation, so blocks of one row, or of three rows with a shorter
+        last block at every level, give the default blocks' value and the
+        same column count in every HiGHS run."""
+        from widthlab import transport
+        from widthlab.util import spawn_rng
+
+        grid = DiscreteMeasure.uniform_grid(d, res)
+        emp = DiscreteMeasure.empirical(spawn_rng(20240801, n, 0).random((n, d)))
+        columns = []
+        linprog = transport.linprog
+
+        def counted(cost, **kwargs):
+            columns.append(len(cost))
+            return linprog(cost, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", counted)
+        default = w1_exact(grid, emp, CUBE_LINF), list(columns)
+        assert all(len(a) % 3 for _, a, _ in transport._levels(grid.points, grid.weights))
+        columns.clear()
+        monkeypatch.setattr(transport, "_BLOCK_ENTRIES", rows * n + 1)
+        assert (w1_exact(grid, emp, CUBE_LINF), columns) == default
 
     def test_dimension_mismatch(self):
         with pytest.raises(TransportError):
@@ -481,10 +528,14 @@ def _metric_id(metric):
     return f"{'torus' if metric.periodic else 'cube'}-{metric.norm}"
 
 
+# every metric and dimension where the Euclidean sums are bit for bit the
+# broadcast's (fewer than 8 terms)
+_BIT_EXACT = [pytest.param(metric, d, id=f"{_metric_id(metric)}-d{d}")
+              for metric in _METRICS for d in range(1, 9) if metric.norm == "ell_inf" or d <= 7]
+
+
 class TestPairwise:
-    @pytest.mark.parametrize("metric,d", [
-        pytest.param(metric, d, id=f"{_metric_id(metric)}-d{d}")
-        for metric in _METRICS for d in range(1, 9) if metric.norm == "ell_inf" or d <= 7])
+    @pytest.mark.parametrize("metric,d", _BIT_EXACT)
     def test_slabs_match_broadcast_bit_for_bit(self, metric, d):
         """Each coordinate's gap is the same float operation either way, and
         a max is exact in any order.  numpy sums fewer than 8 terms in
@@ -493,6 +544,21 @@ class TestPairwise:
         rng = np.random.default_rng(d)
         X, Y = rng.random((70, d)), rng.random((30, d))
         np.testing.assert_array_equal(metric.pairwise(X, Y), _broadcast_pairwise(metric, X, Y))
+
+    @pytest.mark.parametrize("metric,d", _BIT_EXACT)
+    def test_arc_costs_match_pairwise_bit_for_bit(self, metric, d):
+        """Each LP column's cost comes from its two atoms through the same
+        distance kernel as ``pairwise``, so every arc, taken in any order,
+        costs exactly its matrix entry; some coordinate gaps exceed 1/2, so
+        periodic metrics wrap."""
+        from widthlab.transport import _arc_costs
+
+        rng = np.random.default_rng(d)
+        X, Y = rng.random((70, d)), rng.random((30, d))
+        assert np.any(np.abs(X[:, None, :] - Y[None, :, :]) > 0.5)
+        arcs = rng.permutation(70 * 30)
+        np.testing.assert_array_equal(_arc_costs(metric, X, Y, arcs),
+                                      metric.pairwise(X, Y).ravel()[arcs])
 
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("d", [8, 9, 12, 16])
