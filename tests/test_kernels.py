@@ -24,7 +24,7 @@ from widthlab.kernels import (
     uniform_sphere_points,
     zonal_relu_scale,
 )
-from widthlab.util import fit_loglog
+from widthlab.util import fit_loglog, spawn_rng
 
 
 def kernel_profile_eigenvalue(d, k, profile):
@@ -206,24 +206,18 @@ class TestMcKernel:
     def test_gaussian_features_match_closed_form(self):
         for phi in (0.0, pi / 3, pi / 2):
             x, y = self._unit_pair(3, phi)
-            est, se = mc_kernel("random_feature_relu_gaussian", x, y, samples=40_000, seed=11)
+            est, se = mc_kernel(x, y, samples=40_000, seed=11)
             assert abs(est - arccos_kernel(phi)) <= 3 * max(se, 1e-12)
 
     def test_same_seed_symmetry_is_exact(self):
-        kind = "random_feature_relu_gaussian"
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        assert mc_kernel(kind, x, y, 500, seed=3) == mc_kernel(kind, y, x, 500, seed=3)
+        assert mc_kernel(x, y, 500, seed=3) == mc_kernel(y, x, 500, seed=3)
 
     def test_invalid_arguments(self):
         x, y = self._unit_pair(3, pi / 3)
-        with pytest.raises(KernelError, match="kind must be one of"):
-            mc_kernel("random_feature_tanh", x, y, samples=500, seed=0)
         with pytest.raises(KernelError, match="samples"):
-            mc_kernel("random_feature_relu_gaussian", x, y, samples=99, seed=0)
-        for a0 in (None, 0.0, -1.0):
-            with pytest.raises(KernelError, match="a0"):
-                mc_kernel("ntk_relu", x, y, samples=500, seed=0, a0=a0)
+            mc_kernel(x, y, samples=99, seed=0)
 
     def test_rotationally_symmetric_samplers_agree_up_to_constant(self):
         """Uniform-sphere weights reproduce the Gaussian closed form times
@@ -236,8 +230,9 @@ class TestMcKernel:
             phi = math.acos(np.clip(x @ y, -1, 1))
             if arccos_kernel(phi) < 0.05:
                 continue  # near-antipodal pairs have no signal for a ratio
-            est, _ = mc_kernel("random_feature_relu_sphere", x, y, samples=60_000,
-                               seed=100 + len(ratios))
+            W = uniform_sphere_points(60_000, d, spawn_rng(100 + len(ratios)))
+            feats = np.maximum(np.vstack([x, y]) @ W.T, 0.0)
+            est = float((feats[0] * feats[1]).mean())
             ratios.append(est / arccos_kernel(phi))
         ratios = np.asarray(ratios)
         assert ratios.std() / ratios.mean() < 0.02
@@ -284,11 +279,19 @@ class TestNtkSandwich:
             assert gram.eigenvalues[-1] >= -1e-8 * gram.trace
 
     def test_mc_kernel_consistent_with_gram_diagonal(self):
-        """The two-point Monte-Carlo tangent-kernel estimate agrees with the
+        """A Monte-Carlo tangent-kernel estimate of ``a s(w.x + b)`` at
+        ``|a| = 1.5`` and unit ``(w, b)``, from its own draw, agrees with the
         full Gram assembly at matching arguments."""
         rng = np.random.default_rng(12)
         x = uniform_sphere_points(1, 3, rng)[0]
-        est, se = mc_kernel("ntk_relu", x, x, samples=60_000, seed=13, a0=1.5)
+        draw = spawn_rng(13)
+        wb = uniform_sphere_points(60_000, 4, draw)  # unit (w, b) in R^5
+        a = 1.5 * draw.choice([-1.0, 1.0], size=60_000)
+        X = np.vstack([x, x])
+        pre = X @ wb[:, :4].T + wb[:, 4]
+        feat, dfeat = np.maximum(pre, 0.0), (pre > 0).astype(float)
+        prods = feat[0] * feat[1] + (a**2) * dfeat[0] * dfeat[1] * (X @ X.T + 1.0)[0, 1]
+        est, se = float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(60_000))
         rep = ntk_gram(x.reshape(1, -1), a0=1.5, param_samples=60_000, seed=14)
         assert abs(est - rep.k_ntk.matrix[0, 0]) <= 4 * max(se, 1e-6)
 

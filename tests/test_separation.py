@@ -11,12 +11,13 @@ from widthlab.separation import (
     ScheduleError,
     SeparationParams,
     build_schedule,
-    rate_exponent_pipeline,
     tail_domination_log2,
     tail_sum_bound_log2,
     width_bound,
     width_exponent,
 )
+
+from oracles import rate_exponent_pipeline
 
 
 class TestExponentArithmetic:
@@ -108,6 +109,80 @@ class TestWidthLowerBound:
             assert wb1.prefactor == pytest.approx(
                 wb0.prefactor * s ** (alpha / (alpha - beta)), rel=1e-12)
             assert wb1.threshold_t == pytest.approx(wb0.threshold_t * s, rel=1e-12)
+
+
+class TestExactInstance:
+    """The first claim against an instance whose width is known exactly.
+
+    In l-infinity take ``A_n x = c_ambient x_n``, the fast ball the box
+    ``|x_n| <= (c_fast/c_ambient) n**-alpha`` and the slow ball the box
+    ``|z_n| <= (c_slow/c_ambient) n**-beta``.  Both rate hypotheses hold with
+    equality, and coordinate by coordinate
+
+        rho(t) = max_n ((c_slow n**-beta - t c_fast n**-alpha) / c_ambient)_+.
+
+    The bracket rises in n up to ``n* = (t c_fast alpha/(c_slow beta))**(1/(alpha-beta))``
+    and falls after it, so the maximum sits at the integers next to n*, or
+    at n = 1 when n* < 1.
+    """
+
+    #: (alpha, beta, c_fast, c_slow, c_ambient): beta/alpha from 1/6 to 0.9
+    INSTANCES = [(alpha, beta, *constants)
+                 for alpha, beta in ((3.0, 0.5), (1.0, 0.25), (0.5, 0.2), (1.0, 0.5),
+                                     (2.0, 1.5), (1.0, 0.9))
+                 for constants in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (0.3, 4.0, 2.5),
+                                   (5.0, 3.0, 0.2))]
+
+    @staticmethod
+    def n_star(t, alpha, beta, c_fast, c_slow, c_ambient):
+        return (t * c_fast * alpha / (c_slow * beta)) ** (1.0 / (alpha - beta))
+
+    @staticmethod
+    def width(n, t, alpha, beta, c_fast, c_slow, c_ambient):
+        """The largest bracket over the rows of ``n``, floored at 0."""
+        bracket = (c_slow * n**-beta - t * c_fast * n**-alpha) / c_ambient
+        return np.maximum(bracket.max(axis=0), 0.0)
+
+    def rho(self, t, *args):
+        nstar = self.n_star(t, *args)
+        n = np.maximum(np.stack([np.ones_like(nstar), np.floor(nstar), np.ceil(nstar)]), 1.0)
+        return self.width(n, t, *args)
+
+    def test_bound_holds_from_threshold_to_a_million_times_it(self):
+        for args in self.INSTANCES:
+            wb = width_bound(SeparationParams(*args))
+            ts = wb.threshold_t * np.logspace(0.0, 6.0, 200)
+            rho = self.rho(ts, *args)
+            assert np.all(np.array([wb.evaluate(t).value for t in ts]) <= rho), args
+            # the closed form is the maximum over every n, checked where n*
+            # is small enough to try them all
+            small = self.n_star(ts, *args) < 1000
+            brute = self.width(np.arange(1.0, 2001.0)[:, None], ts[small], *args)
+            assert np.array_equal(rho[small], brute), args
+
+    def test_local_slope_is_the_bound_exponent(self):
+        """Over the reals the maximum is ``c_slow n*^-beta (alpha-beta)/(alpha c_ambient)``,
+        an exact power law of slope ``-beta/(alpha-beta)`` in t.  At an
+        integer n = n* e^r the bracket is that maximum times
+        ``phi(r) = (alpha e^(-beta r) - beta e^(-alpha r))/(alpha-beta)``, which
+        peaks at r = 0, and one of the two integers next to n* has
+        ``|r| <= R = log(n*/(n* - 1/2))``.  So log rho lies within
+        ``-log min(phi(R), phi(-R))`` below the power law at t, and closer at
+        2t, where n* is larger.  The float evaluation adds a few roundings
+        of each term, magnified by the cancellation ``(alpha+beta)/(alpha-beta)``."""
+        eps = np.finfo(float).eps
+        for args in self.INSTANCES:
+            alpha, beta = args[:2]
+            wb = width_bound(SeparationParams(*args))
+            t = 1e6 * wb.threshold_t
+            slope = math.log(self.rho(2 * t, *args) / self.rho(t, *args)) / math.log(2.0)
+            nstar = self.n_star(t, *args)
+            R = math.log(nstar / (nstar - 0.5))
+            phi = [(alpha * math.exp(-beta * r) - beta * math.exp(-alpha * r)) / (alpha - beta)
+                   for r in (R, -R)]
+            rounding = 8 * eps * (alpha + beta) / (alpha - beta)
+            tol = (-math.log(min(phi)) + 2 * rounding) / math.log(2.0)
+            assert abs(slope + wb.exponent) <= tol, args
 
 
 class TestSchedule:

@@ -10,17 +10,16 @@ from widthlab.transport import (
     TorusMetricConfig,
     TransportError,
     ball_intersection_volume,
-    ball_intersection_volume_mc,
     covering_lower_bound,
     default_gamma,
     empirical_w1_rate,
     indicator_sum_l2,
     smoothing_l2_surrogate,
     smoothing_operator_constant,
-    w1_1d_cdf,
-    w1_assignment_oracle,
     w1_exact,
 )
+
+from oracles import ball_intersection_volume_mc, w1_1d_cdf, w1_assignment_oracle
 
 
 def random_measure(rng, n, d):

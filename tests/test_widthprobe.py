@@ -13,7 +13,6 @@ from widthlab.widthprobe import (
     TargetFunction,
     WidthCurve,
     CurvePoint,
-    certificate_consistency,
     fit_constrained,
     l2_error,
     project_path_norm,
@@ -21,6 +20,8 @@ from widthlab.widthprobe import (
 )
 from widthlab.widthprobe import _relu_loss
 from widthlab.util import spawn_rng
+
+from oracles import certificate_consistency
 
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
 
@@ -263,7 +264,7 @@ class TestRhoCurve:
         rng = np.random.default_rng(10)
         target = TargetFunction.distance_to_point_set(rng.random((2, 2)))
         curve = rho_curve(target, [0.2, 0.5, 1.0, 2.0], width=12, config=FAST, seed=4)
-        errs = curve.errors()
+        errs = np.array([p.error for p in curve.samples])
         assert np.all(np.diff(errs) <= 1e-12)
         assert np.all(errs >= 0)
 
@@ -272,7 +273,7 @@ class TestRhoCurve:
         target = TargetFunction.distance_to_point_set(rng.random((2, 1)))
         a = rho_curve(target, [0.3, 1.0], width=8, config=FAST, seed=5)
         b = rho_curve(target, [0.3, 1.0], width=8, config=FAST, seed=5)
-        assert a.errors().tolist() == b.errors().tolist()
+        assert [p.error for p in a.samples] == [p.error for p in b.samples]
         assert a.fitted_exponent == b.fitted_exponent
 
     def test_grid_must_increase(self):
@@ -289,7 +290,7 @@ class TestRhoCurve:
                         polish_iters=300)
         curve = rho_curve(target, [1.2 * s, 2.0 * s, 3.0 * s], width=24,
                           config=cfg, seed=7)
-        assert np.all(curve.errors() <= 1e-3)
+        assert np.all(np.array([p.error for p in curve.samples]) <= 1e-3)
 
     def test_certificate_consistency_reports(self):
         # tail decays like t^-0.32: no conflict with a certified t^-0.5 rate
