@@ -299,9 +299,6 @@ class PiecewiseLinear1D:
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / np.diff(self.knots)
 
-    def evaluate(self, x):
-        return np.interp(x, self.knots, self.values)
-
     @classmethod
     def from_network(cls, net: TwoLayerNetwork) -> "PiecewiseLinear1D":
         """Exact piecewise-linear form of a one-dimensional relu network."""

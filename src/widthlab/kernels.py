@@ -47,7 +47,7 @@ from math import lgamma, pi
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 from .util import OptimizationError, spawn_rng
 
@@ -276,6 +276,22 @@ def _gram_result(K: np.ndarray) -> GramResult:
     return GramResult(matrix=K, eigenvalues=np.linalg.eigvalsh(K)[::-1])
 
 
+# Rows per block of the in-place symmetrization; it holds at most two blocks
+# of this many rows of n doubles beside the matrix.
+_BLOCK_ROWS = 128
+
+
+def _symmetrize(K: np.ndarray) -> None:
+    """Overwrite K with ``0.5 * (K + K.T)``, bit for bit, one row block at a
+    time."""
+    for lo in range(0, K.shape[0], _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        block = K[lo:hi, lo:] + K[lo:, lo:hi].T
+        block *= 0.5
+        K[lo:hi, lo:] = block
+        K[lo:, lo:hi] = block.T
+
+
 def _ntk_features(X: np.ndarray, a0: float, samples: int, rng):
     d = X.shape[1]
     wb = uniform_sphere_points(samples, d, rng)     # unit (w, b) in R^(d+1)
@@ -357,6 +373,11 @@ def nystrom_spectrum(d: int, n: int, seed: int = 0) -> np.ndarray:
     operator (closed form ``zonal_relu_scale(d) * relu(x.y)``), whose
     spectrum the eigenvalue tables follow; its top eigenvalues form
     plateaus of width ``multiplicity(d, k)``.
+
+    Memory: the n x n Gram is built, symmetrized and eigensolved in place,
+    so beside it the call holds the points, two row blocks of the
+    symmetrization and syevd's O(n) workspace.  At the 5,000-point cap that
+    is one 191 MiB matrix.
     """
     if d < 1:
         raise KernelError("d must be >= 1")
@@ -365,7 +386,16 @@ def nystrom_spectrum(d: int, n: int, seed: int = 0) -> np.ndarray:
     # points on S^d in R^(d+1), matching the spectrum tables
     X = uniform_sphere_points(n, d, spawn_rng(seed))
     scale = zonal_relu_scale(d) if d >= 2 else 1.0
-    return _gram_result(scale * _relu(X @ X.T) / n).eigenvalues
+    K = X @ X.T
+    np.maximum(K, 0.0, out=K)
+    K *= scale
+    K /= n
+    _symmetrize(K)
+    # K.T is the F-ordered view, so LAPACK's syevd (numpy's routine, with its
+    # UPLO='L') works in K's own memory; K is exactly symmetric, so either
+    # triangle holds the values numpy reads
+    return linalg.eigh(K.T, lower=True, overwrite_a=True, driver="evd",
+                       check_finite=False, eigvals_only=True)[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
+from widthlab.barron import PiecewiseLinear1D
 from widthlab.separation import Number, width_exponent
 from widthlab.transport import (
     TORUS_LINF,
@@ -21,6 +22,11 @@ from widthlab.transport import (
 )
 from widthlab.util import fit_loglog
 from widthlab.widthprobe import WidthCurve
+
+
+def piecewise_linear_values(f: PiecewiseLinear1D, x) -> np.ndarray:
+    """Values of the piecewise-linear function ``f`` at the points ``x``."""
+    return np.interp(x, f.knots, f.values)
 
 
 def w1_assignment_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -301,8 +301,8 @@ def test_criterion_09_bv_equivalence():
         dir1 = bv <= 2.0 * barron.path_norm(net) * (1 + 1e-9)
         # direction 2: the explicit representation reproduces f and its cost
         # sits within [bv, 2 bv] (the |f(0)| + |f'(0)| + |f''| construction)
-        ident = float(np.max(np.abs(canon.evaluate(xs_dense) - f.evaluate(
-            xs_dense.ravel())))) <= 1e-9
+        ident = float(np.max(np.abs(canon.evaluate(xs_dense) - oracles.piecewise_linear_values(
+            f, xs_dense.ravel())))) <= 1e-9
         pn = barron.path_norm(canon)
         dir2 = ident and bv <= pn * (1 + 1e-9) and pn <= 2.0 * bv * (1 + 1e-9)
         all_ok &= dir1 and dir2

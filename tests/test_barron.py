@@ -19,6 +19,8 @@ from widthlab.barron import (
     rademacher_estimate,
 )
 
+from oracles import piecewise_linear_values
+
 
 def random_relu_net(rng, d=1, width=6, averaged=True):
     return TwoLayerNetwork(rng.standard_normal(width) * 2,
@@ -177,7 +179,7 @@ class TestBV1D:
             net = random_relu_net(rng, d=1, width=7, averaged=False)
             f = PiecewiseLinear1D.from_network(net)
             xs = rng.uniform(0, 1, 300)
-            np.testing.assert_allclose(f.evaluate(xs), net.evaluate(xs.reshape(-1, 1)),
+            np.testing.assert_allclose(piecewise_linear_values(f, xs), net.evaluate(xs.reshape(-1, 1)),
                                        rtol=1e-10, atol=1e-12)
 
     def test_canonical_network_identity_and_cost(self):
@@ -190,7 +192,7 @@ class TestBV1D:
             bv = bv_norm_1d(f)
             canon = canonical_network_1d(f)
             xs = rng.uniform(0, 1, 200)
-            np.testing.assert_allclose(canon.evaluate(xs.reshape(-1, 1)), f.evaluate(xs),
+            np.testing.assert_allclose(canon.evaluate(xs.reshape(-1, 1)), piecewise_linear_values(f, xs),
                                        rtol=1e-9, atol=1e-10)
             pn = path_norm(canon)
             assert bv <= pn * (1 + 1e-12)

@@ -1,6 +1,7 @@
 """Spherical kernel spectra: closed form vs quadrature oracle vs Nystrom."""
 
 import math
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -322,6 +323,69 @@ class TestNystrom:
     def test_dimension_below_one(self, d):
         with pytest.raises(KernelError, match="d must be"):
             nystrom_spectrum(d, n=10)
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs, above
+    what was allocated when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+DOUBLE = 8
+ROWS = kernels._BLOCK_ROWS
+# Python objects, small index arrays and scipy's argument handling.
+SLACK = 1 << 16
+
+
+def syevd_values_only_bytes(n):
+    """syevd's workspace without vectors, with its eigenvalues and integer
+    workspace.  LAPACK documents a minimum of 2n + 1 doubles; scipy asks
+    the workspace query, which returns the blocked optimum (2 + NB) n,
+    where NB, the block size of dsytrd, is 32 in reference LAPACK (64
+    allowed here)."""
+    return DOUBLE * ((2 + 64) * n + n + 1)
+
+
+class TestInPlaceNystrom:
+    @pytest.mark.parametrize("n", [1, 2, ROWS - 1, ROWS, ROWS + 1, 1000])
+    def test_symmetrize_is_bit_equal_to_half_sum(self, n):
+        A = np.random.default_rng(n).standard_normal((n, n))
+        K = A.copy()
+        kernels._symmetrize(K)
+        assert np.array_equal(K, 0.5 * (A + A.T))
+        assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("d, n, seed", [(3, 1000, 1), (2, 700, 1), (5, ROWS + 1, 4)])
+    def test_nystrom_matches_numpy_path(self, d, n, seed):
+        """Against the eigensolve it replaced, to n eps max|lambda|: numpy
+        and scipy wheels may ship different LAPACK builds, so bit identity
+        is not a property of the code."""
+        X = uniform_sphere_points(n, d, spawn_rng(seed))
+        K = zonal_relu_scale(d) * np.maximum(X @ X.T, 0.0) / n
+        want = np.linalg.eigvalsh(0.5 * (K + K.T))[::-1]
+        tol = n * np.finfo(float).eps * np.max(np.abs(want))
+        np.testing.assert_allclose(nystrom_spectrum(d, n, seed), want, rtol=0, atol=tol)
+
+    def test_nystrom_holds_one_matrix(self):
+        """The Gram, the points and their draw, two row blocks of the
+        symmetrization (each is built while the last is still bound) and
+        syevd's workspace without vectors: a copy of the Gram anywhere,
+        scipy's wrapper included, adds n^2 doubles."""
+        d, n = 3, 1000
+        nystrom_spectrum(d, n=8)
+        peak = traced_peak_bytes(lambda: nystrom_spectrum(d, n=n))
+        held = DOUBLE * (n * n + 3 * n * (d + 1) + n + 2 * ROWS * n)
+        assert peak <= held + syevd_values_only_bytes(n) + SLACK
 
 
 class TestSpectrumAssembly:
