@@ -272,40 +272,21 @@ class GramResult:
 
 
 def _gram_result(K: np.ndarray) -> GramResult:
-    K = 0.5 * (K + K.T)
     return GramResult(matrix=K, eigenvalues=np.linalg.eigvalsh(K)[::-1])
 
 
-# Rows per block of the in-place symmetrization; it holds at most two blocks
-# of this many rows of n doubles beside the matrix.
-_BLOCK_ROWS = 128
-
-
-def _symmetrize(K: np.ndarray) -> None:
-    """Overwrite K with ``0.5 * (K + K.T)``, bit for bit, one row block at a
-    time."""
-    for lo in range(0, K.shape[0], _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        block = K[lo:hi, lo:] + K[lo:, lo:hi].T
-        block *= 0.5
-        K[lo:hi, lo:] = block
-        K[lo:, lo:hi] = block.T
-
-
-def _ntk_features(X: np.ndarray, a0: float, samples: int, rng):
+def _ntk_gram_matrix(X, a0, samples, rng):
+    """``(K_rf, K_ntk)``, both exactly symmetric.  The outer weights are
+    ``+-a0`` and enter only as ``a0**2``, so no sign is drawn; numpy forms
+    each ``A @ A.T`` as a symmetric rank-k update, and the elementwise steps
+    after it keep the symmetry bit for bit."""
     d = X.shape[1]
     wb = uniform_sphere_points(samples, d, rng)     # unit (w, b) in R^(d+1)
-    a = a0 * rng.choice([-1.0, 1.0], size=samples)
     pre = X @ wb[:, :d].T + wb[:, d]
-    return pre, a
-
-
-def _ntk_gram_matrix(X, a0, samples, rng):
-    pre, a = _ntk_features(X, a0, samples, rng)
     feat = _relu(pre)
     dfeat = (pre > 0).astype(float)
     K_rf = feat @ feat.T / samples
-    K_grad = ((dfeat * a**2) @ dfeat.T / samples) * (X @ X.T + 1.0)
+    K_grad = (a0**2 * (dfeat @ dfeat.T) / samples) * (X @ X.T + 1.0)
     return K_rf, K_rf + K_grad
 
 
@@ -337,7 +318,9 @@ class NtkSandwich:
 def ntk_gram(points, a0: float, param_samples: int = 8192, seed: int = 0) -> NtkSandwich:
     """Tangent and random-feature Gram matrices from one parameter sample.
 
-    Parameters are drawn with ``|a| = a0`` and unit ``(w, b)``.  The report
+    Parameters are drawn with ``|a| = a0`` and unit ``(w, b)``; the outer
+    weight enters both Grams only through ``a0**2``, so its sign is never
+    drawn, and both Grams are exactly symmetric by construction.  The report
     carries both orderings of the comparison with ``(1+a0^2) K_rf``: the
     difference ``K_ntk - K_rf`` is positive semidefinite by construction,
     and under the unit-parameter hypothesis the gradient term dominates
@@ -355,11 +338,12 @@ def ntk_gram(points, a0: float, param_samples: int = 8192, seed: int = 0) -> Ntk
     # eigh, not eigvalsh: the two differ in the last digit of lower_min
     lower = np.linalg.eigh(K_ntk - K_rf)[0]
     stated = np.linalg.eigvalsh((1 + a0**2) * K_rf - K_ntk)
-    reversed_ = np.linalg.eigvalsh(K_ntk - (1 + a0**2) * K_rf)
+    # K_ntk - (1+a0^2) K_rf is the stated difference negated, exactly, so its
+    # least eigenvalue is minus the stated one's greatest
     return NtkSandwich(k_rf=_gram_result(K_rf), k_ntk=_gram_result(K_ntk), a0=float(a0),
                        lower_min=float(lower[0]),
                        stated_upper_min=float(stated[0]),
-                       reversed_upper_min=float(reversed_[0]))
+                       reversed_upper_min=-float(stated[-1]))
 
 
 MAX_NYSTROM_POINTS = 5000
@@ -374,10 +358,10 @@ def nystrom_spectrum(d: int, n: int, seed: int = 0) -> np.ndarray:
     spectrum the eigenvalue tables follow; its top eigenvalues form
     plateaus of width ``multiplicity(d, k)``.
 
-    Memory: the n x n Gram is built, symmetrized and eigensolved in place,
-    so beside it the call holds the points, two row blocks of the
-    symmetrization and syevd's O(n) workspace.  At the 5,000-point cap that
-    is one 191 MiB matrix.
+    Memory: the n x n Gram is built and eigensolved in place; it is
+    symmetric by construction, so no pass repairs it, and beside it the
+    call holds only the points and syevd's O(n) workspace.  At the
+    5,000-point cap that is one 191 MiB matrix.
     """
     if d < 1:
         raise KernelError("d must be >= 1")
@@ -390,10 +374,11 @@ def nystrom_spectrum(d: int, n: int, seed: int = 0) -> np.ndarray:
     np.maximum(K, 0.0, out=K)
     K *= scale
     K /= n
-    _symmetrize(K)
-    # K.T is the F-ordered view, so LAPACK's syevd (numpy's routine, with its
-    # UPLO='L') works in K's own memory; K is exactly symmetric, so either
-    # triangle holds the values numpy reads
+    # numpy forms X @ X.T as a symmetric rank-k update and copies one
+    # triangle onto the other, and relu and the scalings act elementwise, so
+    # K is exactly symmetric.  K.T is the F-ordered view, so LAPACK's syevd
+    # (numpy's routine, with its UPLO='L') works in K's own memory and reads
+    # the values numpy would
     return linalg.eigh(K.T, lower=True, overwrite_a=True, driver="evd",
                        check_finite=False, eigvals_only=True)[::-1]
 

@@ -126,11 +126,12 @@ class DiscreteMeasure:
             raise TransportError("points and weights must have equal length")
         if self.points.shape[0] == 0:
             raise TransportError("measure must have nonempty support")
-        if np.any(self.weights < 0):
+        # each check is written so that a NaN fails it
+        if not np.all(self.weights >= 0):
             raise TransportError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise TransportError(f"weights must sum to 1, got {self.weights.sum()!r}")
-        if np.any(self.points < 0.0) or np.any(self.points >= 1.0):
+        if not np.all((self.points >= 0.0) & (self.points < 1.0)):
             raise TransportError("all coordinates must lie in [0, 1)")
 
     @property

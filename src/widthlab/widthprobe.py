@@ -86,14 +86,16 @@ class TargetFunction:
 def _quadrature_points(quadrature, d: int, seed: int) -> np.ndarray:
     """("mc", N) uniform points or ("grid", res) midpoint tensor grid."""
     kind, size = quadrature
+    if kind not in ("mc", "grid"):
+        raise TargetError(f"unknown quadrature kind {kind!r}")
+    size = int(size)
+    if size < 1:
+        raise TargetError(f"quadrature size must be >= 1, got {size}")
     if kind == "mc":
-        return spawn_rng(seed).random((int(size), d))
-    if kind == "grid":
-        res = int(size)
-        if res**d > 2_000_000:
-            raise TargetError(f"grid {res}^{d} too large")
-        return midpoint_grid(d, res)
-    raise TargetError(f"unknown quadrature kind {kind!r}")
+        return spawn_rng(seed).random((size, d))
+    if size**d > 2_000_000:
+        raise TargetError(f"grid {size}^{d} too large")
+    return midpoint_grid(d, size)
 
 
 def l2_error(net: TwoLayerNetwork, target: TargetFunction,
@@ -140,6 +142,8 @@ class FitConfig:
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
             raise TargetError("steps and restarts must be >= 1")
+        if self.polish_iters < 0:
+            raise TargetError("polish_iters must be >= 0")
 
 
 def _relu_loss(a, W, b, X, y, grad=False):

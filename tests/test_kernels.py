@@ -279,6 +279,29 @@ class TestNtkSandwich:
         for gram in (rep.k_rf, rep.k_ntk):
             assert gram.eigenvalues[-1] >= -1e-8 * gram.trace
 
+    @pytest.mark.parametrize("a0", [0.3, 0.7])
+    def test_grams_exactly_symmetric(self, a0):
+        """Where a0^2 is not a short binary fraction, a gradient Gram that
+        weights one factor by a^2 is a general gemm, which a threaded BLAS
+        can leave off symmetric in its last bit (seen with 2 OpenBLAS
+        threads at this size); both Grams must be symmetric bit for bit."""
+        X = uniform_sphere_points(97, 2, np.random.default_rng(3))
+        K_rf, K_ntk = kernels._ntk_gram_matrix(X, a0, 513, spawn_rng(4))
+        assert np.array_equal(K_rf, K_rf.T)
+        assert np.array_equal(K_ntk, K_ntk.T)
+
+    @pytest.mark.parametrize("a0", [0.3, 1.0, 2.0])
+    def test_reversed_upper_min_matches_its_eigensolve(self, a0):
+        """reversed_upper_min is read off the stated difference's spectrum;
+        against a direct eigensolve of K_ntk - (1+a0^2) K_rf it agrees to
+        n eps max|lambda| (bit identity depends on the LAPACK build)."""
+        n = 40
+        pts = uniform_sphere_points(n, 3, np.random.default_rng(5))
+        rep = ntk_gram(pts, a0=a0, param_samples=2048, seed=6)
+        want = np.linalg.eigvalsh(rep.k_ntk.matrix - (1 + a0**2) * rep.k_rf.matrix)
+        tol = n * np.finfo(float).eps * np.max(np.abs(want))
+        assert abs(rep.reversed_upper_min - want[0]) <= tol
+
     def test_mc_kernel_consistent_with_gram_diagonal(self):
         """A Monte-Carlo tangent-kernel estimate of ``a s(w.x + b)`` at
         ``|a| = 1.5`` and unit ``(w, b)``, from its own draw, agrees with the
@@ -342,7 +365,6 @@ def traced_peak_bytes(fn):
 
 
 DOUBLE = 8
-ROWS = kernels._BLOCK_ROWS
 # Python objects, small index arrays and scipy's argument handling.
 SLACK = 1 << 16
 
@@ -357,15 +379,19 @@ def syevd_values_only_bytes(n):
 
 
 class TestInPlaceNystrom:
-    @pytest.mark.parametrize("n", [1, 2, ROWS - 1, ROWS, ROWS + 1, 1000])
-    def test_symmetrize_is_bit_equal_to_half_sum(self, n):
-        A = np.random.default_rng(n).standard_normal((n, n))
-        K = A.copy()
-        kernels._symmetrize(K)
-        assert np.array_equal(K, 0.5 * (A + A.T))
+    @pytest.mark.parametrize("n", [1, 2, 129, 1000])
+    def test_nystrom_gram_is_exactly_symmetric(self, n):
+        """The Gram exactly as nystrom_spectrum builds it, which no pass
+        symmetrizes: numpy must form X @ X.T symmetric bit for bit."""
+        d = 3
+        X = uniform_sphere_points(n, d, spawn_rng(n))
+        K = X @ X.T
+        np.maximum(K, 0.0, out=K)
+        K *= zonal_relu_scale(d)
+        K /= n
         assert np.array_equal(K, K.T)
 
-    @pytest.mark.parametrize("d, n, seed", [(3, 1000, 1), (2, 700, 1), (5, ROWS + 1, 4)])
+    @pytest.mark.parametrize("d, n, seed", [(3, 1000, 1), (2, 700, 1), (5, 129, 4)])
     def test_nystrom_matches_numpy_path(self, d, n, seed):
         """Against the eigensolve it replaced, to n eps max|lambda|: numpy
         and scipy wheels may ship different LAPACK builds, so bit identity
@@ -377,14 +403,13 @@ class TestInPlaceNystrom:
         np.testing.assert_allclose(nystrom_spectrum(d, n, seed), want, rtol=0, atol=tol)
 
     def test_nystrom_holds_one_matrix(self):
-        """The Gram, the points and their draw, two row blocks of the
-        symmetrization (each is built while the last is still bound) and
-        syevd's workspace without vectors: a copy of the Gram anywhere,
-        scipy's wrapper included, adds n^2 doubles."""
+        """The Gram, the points and their draw and syevd's workspace without
+        vectors: a copy of the Gram anywhere, scipy's wrapper included, adds
+        n^2 doubles."""
         d, n = 3, 1000
         nystrom_spectrum(d, n=8)
         peak = traced_peak_bytes(lambda: nystrom_spectrum(d, n=n))
-        held = DOUBLE * (n * n + 3 * n * (d + 1) + n + 2 * ROWS * n)
+        held = DOUBLE * (n * n + 3 * n * (d + 1) + n)
         assert peak <= held + syevd_values_only_bytes(n) + SLACK
 
 

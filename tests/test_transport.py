@@ -472,7 +472,10 @@ class TestW1Exact:
         ([[0.2], [0.4]], [1.5, -0.5], "nonnegative"),
         ([[0.2], [1.0]], [0.5, 0.5], r"\[0, 1\)"),
         ([[-0.1, 0.5]], [1.0], r"\[0, 1\)"),
-    ], ids=["lengths", "negative-weight", "coordinate-one", "negative-coordinate"])
+        ([[np.nan], [0.5]], [0.5, 0.5], r"\[0, 1\)"),
+        ([[0.2], [0.4]], [np.nan, 0.5], "nonnegative"),
+    ], ids=["lengths", "negative-weight", "coordinate-one", "negative-coordinate",
+            "nan-coordinate", "nan-weight"])
     def test_invalid_measure_rejected(self, points, weights, message):
         with pytest.raises(TransportError, match=message):
             DiscreteMeasure(np.array(points), np.array(weights))

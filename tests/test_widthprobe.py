@@ -190,6 +190,17 @@ class TestFitConstrained:
         with pytest.raises(TargetError, match="steps and restarts"):
             FitConfig(**kwargs)
 
+    def test_negative_polish_iters_rejected(self):
+        with pytest.raises(TargetError, match="polish_iters"):
+            FitConfig(polish_iters=-1)
+
+    @pytest.mark.parametrize("kind", ["mc", "grid"])
+    def test_empty_quadrature_rejected(self, kind):
+        target = TargetFunction.custom(lambda X: X[:, 0], 2)
+        cfg = dataclasses.replace(FAST, quadrature=(kind, 0))
+        with pytest.raises(TargetError, match="quadrature size"):
+            fit_constrained(target, t=1.0, width=4, config=cfg, seed=0)
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     def test_non_finite_budget_rejected(self, t):
         target = TargetFunction.custom(lambda X: X[:, 0], 1)
