@@ -11,7 +11,9 @@ which is exact for relu by positive homogeneity and leaves the network's
 direction unchanged.  A single quadrature point set is shared across the
 whole budget grid so that curve monotonicity is not polluted by quadrature
 noise, and each fit is seeded with the previous budget's solution, so the
-reported curve is nonincreasing by construction.
+reported curve is nonincreasing by construction.  The restarts of a fit run
+as one stacked batch: Adam steps them together, and their L-BFGS-B polish
+runs in lockstep (:func:`minimize`), one stacked loss call per sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, _lbfgsb
 
 from .barron import RELU, OptimizationError, TwoLayerNetwork, path_norm
 from .util import fit_loglog, midpoint_grid, spawn_rng
@@ -83,14 +85,19 @@ class TargetFunction:
 # ---------------------------------------------------------------------------
 
 
+def _quadrature_size(size) -> int:
+    size = int(size)
+    if size < 1:
+        raise TargetError(f"quadrature size must be >= 1, got {size}")
+    return size
+
+
 def _quadrature_points(quadrature, d: int, seed: int) -> np.ndarray:
     """("mc", N) uniform points or ("grid", res) midpoint tensor grid."""
     kind, size = quadrature
     if kind not in ("mc", "grid"):
         raise TargetError(f"unknown quadrature kind {kind!r}")
-    size = int(size)
-    if size < 1:
-        raise TargetError(f"quadrature size must be >= 1, got {size}")
+    size = _quadrature_size(size)
     if kind == "mc":
         return spawn_rng(seed).random((size, d))
     if size**d > 2_000_000:
@@ -109,7 +116,7 @@ def l2_error(net: TwoLayerNetwork, target: TargetFunction,
     """
     kind, size = quadrature
     if target.d == 1 and kind == "grid":
-        res = int(size)
+        res = _quadrature_size(size)
         if res % 2 == 1:
             res += 1
         xs = np.linspace(0.0, 1.0, res + 1).reshape(-1, 1)
@@ -151,37 +158,95 @@ def _relu_loss(a, W, b, X, y, grad=False):
     mean squared residual, the hidden activations and, when ``grad`` is set,
     ``(d/da, d/dW, d/db)`` (relu' is 0 at 0), else None.  ``a``, ``W`` and
     ``b`` may stack networks on a leading axis; a stacked ``np.matmul`` does
-    each network's lone gemm, gemv or dot, so each slice matches it bitwise."""
+    each network's lone gemm, gemv or dot, so each slice matches it bitwise.
+    The in-place steps round as their out-of-place forms; ``mask`` keeps the
+    (n, m) layout, since its transpose changes the bits of d/dW and d/db."""
     m, n = a.shape[-1], X.shape[0]
     pre = X @ np.swapaxes(W, -1, -2) + b[..., None, :]
     act = np.maximum(pre, 0.0)
-    resid = (act @ a[..., None])[..., 0] / m - y
+    resid = (act @ a[..., None])[..., 0]
+    resid /= m
+    resid -= y
     loss = (resid[..., None, :] @ resid[..., None])[..., 0, 0] / n
     if not grad:
         return loss, act, None
     g_common = 2.0 * resid / (n * m)
-    mask = (pre > 0) * (g_common[..., None] * a[..., None, :])
+    mask = g_common[..., None] * a[..., None, :]
+    mask *= pre > 0
     return loss, act, ((np.swapaxes(act, -1, -2) @ g_common[..., None])[..., 0],
                        np.swapaxes(mask, -1, -2) @ X, mask.sum(axis=-2))
 
 
-def _lbfgs_polish(a, W, b, X, y, maxiter):
-    """Unconstrained quasi-Newton refinement; callers re-project afterwards."""
-    m, d = W.shape
+def minimize(fg, x0, maxiter):
+    """L-BFGS-B from every row of ``x0``, all rows in lockstep.
 
-    def unpack(v):
-        aa, WW, bb = np.split(v, [m, m + m * d])
-        return aa, WW.reshape(m, d), bb
+    Each row runs its own workspace of scipy's reverse-communication
+    L-BFGS-B (``setulb``) with the options, stopping rules and evaluation
+    cache of ``scipy.optimize.minimize(method="L-BFGS-B", options={"maxiter":
+    maxiter, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14})``, so it takes the
+    steps of a lone run.  Each sweep advances every unfinished row until it
+    asks for f and g at a new point or stops; one call ``fg(V)`` answers
+    every request, where ``V`` stacks the points (P, n) and ``fg`` returns
+    their losses (P,) and gradients (P, n).  Returns the final points ``x``,
+    with ``nit`` and ``nfev`` summed over the rows.
+    """
+    x = np.array(x0, dtype=float)
+    K, n = x.shape
+    # scipy evaluates at x0 as it builds its objective, and answers a request
+    # at the last point it evaluated from that cache.  setulb may rewrite its
+    # g in place, so it gets its own copy; it never reads f or g on START
+    x_at = x.copy()
+    f_at, g_at = fg(x_at)
+    g, task = np.zeros((K, n)), np.zeros((K, 2), np.int32)
+    # per row: its views, then setulb's wa, iwa, task, lsave, isave, dsave,
+    # maxls and ln_task for maxcor 30
+    rows = [(x[k], g[k], task[k], x_at[k], g_at[k],
+             (np.zeros(2 * 30 * n + 5 * n + 11 * 30 * 30 + 8 * 30), np.zeros(3 * n, np.int32),
+              task[k], np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29), 20,
+              np.zeros(2, np.int32))) for k in range(K)]
+    unbounded, nbd = np.zeros(n), np.zeros(n, np.int32)
+    nit, nfev = [0] * K, [1] * K
+    running = list(range(K))
+    while running:
+        asks = []
+        for k in running:
+            xk, gk, tk, xk_at, gk_at, work = rows[k]
+            while True:
+                _lbfgsb.setulb(30, xk, unbounded, unbounded, nbd, f_at[k], gk,
+                               1e-18 / 2.0**-52, 1e-14, *work)   # factr = ftol / eps
+                if tk[0] == 3:                    # f and g wanted at xk
+                    if not (xk == xk_at).all():
+                        asks.append(k)
+                        break
+                    gk[:] = gk_at
+                elif tk[0] == 1:                  # a new iterate
+                    nit[k] += 1
+                    if nit[k] >= maxiter or nfev[k] > 15000:   # maxiter, maxfun
+                        tk[:] = 5, 504 if nit[k] >= maxiter else 502
+                else:
+                    break
+        if asks:
+            x_at[asks] = x[asks]
+            f_at[asks], g[asks] = fg(x_at[asks])
+            g_at[asks] = g[asks]
+            for k in asks:
+                nfev[k] += 1
+        running = asks
+    return OptimizeResult(x=x, nit=sum(nit), nfev=sum(nfev))
+
+
+def _polish(kept, X, y, maxiter):
+    """L-BFGS-B refinement of the K stacked networks ``kept = (a, W, b)``,
+    all through one :func:`minimize`; callers re-project afterwards."""
+    a, W, b = kept
+    K, m = a.shape
+    unpack = lambda v: (v[:, :m], v[:, m:-m].reshape(len(v), m, -1), v[:, -m:])
 
     def fg(v):
-        loss, _, grads = _relu_loss(*unpack(v), X, y, grad=True)
-        return loss, np.concatenate([g.ravel() for g in grads])
+        loss, _, (ga, gW, gb) = _relu_loss(*unpack(v), X, y, grad=True)
+        return loss, np.concatenate([ga, gW.reshape(len(v), -1), gb], axis=1)
 
-    x0 = np.concatenate([a, W.ravel(), b])
-    res = minimize(fg, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": maxiter, "maxcor": 30,
-                            "ftol": 1e-18, "gtol": 1e-14})
-    return unpack(res.x)
+    return unpack(minimize(fg, np.concatenate([a, W.reshape(K, -1), b], axis=1), maxiter).x)
 
 
 @dataclass
@@ -309,15 +374,14 @@ def _fit_restarts(target, t, width, config, X, y, seed) -> list:
         pn = np.sum(np.abs(a) * (np.abs(W).sum(axis=-1) + np.abs(b)), axis=-1) / width
         over = (pn > t) & (pn > 0)
         a[over] *= (t / pn[over])[:, None]
-    # per restart: the best iterate, its L-BFGS polish and the last iterate,
-    # each projected and then refit, all 3R candidates in one batch
-    cands = []
-    for row, r in enumerate(alive):
-        kept = tuple(p[r] for p in best)
-        polished = _lbfgs_polish(*kept, X=X, y=y, maxiter=config.polish_iters) \
-            if config.polish_iters else kept
-        for params in (kept, polished, (a[row], W[row], b[row])):
-            cands.append(project_path_norm(TwoLayerNetwork(*params, RELU, averaged=True), t))
+    # per restart: the best iterate, its L-BFGS polish (all restarts in
+    # lockstep) and the last iterate, each projected and then refit, all 3R
+    # candidates in one batch
+    kept = [p[alive] for p in best]
+    polished = _polish(kept, X, y, config.polish_iters) if config.polish_iters else kept
+    cands = [project_path_norm(TwoLayerNetwork(*(p[row] for p in params), RELU,
+                                               averaged=True), t)
+             for row in range(len(alive)) for params in (kept, polished, (a, W, b))]
     outer, inner, bias = _stack(cands)
     loss, act, _ = _relu_loss(outer, inner, bias, X, y)
     # convex polish: with these features frozen, the outer layer solves a

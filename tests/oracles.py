@@ -21,7 +21,7 @@ from widthlab.transport import (
     _check_balls,
 )
 from widthlab.util import fit_loglog
-from widthlab.widthprobe import WidthCurve
+from widthlab.widthprobe import WidthCurve, _relu_loss
 
 
 def piecewise_linear_values(f: PiecewiseLinear1D, x) -> np.ndarray:
@@ -130,3 +130,30 @@ def certificate_consistency(curve: WidthCurve, exponent: float) -> dict:
     return {"consistent": bool(consistent), "checked": len(tail),
             "measured_tail_slope": slope, "slope_sigma": sigma,
             "certified_exponent": exponent}
+
+
+def lbfgs_polish(kept, X, y, maxiter):
+    """The L-BFGS polish one restart at a time: each network of the stack
+    ``kept = (a, W, b)`` goes alone through ``scipy.optimize.minimize(method=
+    "L-BFGS-B")`` with the polish's options, on lone loss calls.  Returns the
+    stacked polished networks and each run's ``nit`` and ``nfev``."""
+    from scipy.optimize import minimize
+
+    polished, nits, nfevs = [], [], []
+    for a, W, b in zip(*kept):
+        m = len(a)
+
+        def unpack(v):
+            return v[:m], v[m:-m].reshape(m, -1), v[-m:]
+
+        def fg(v):
+            loss, _, grads = _relu_loss(*unpack(v), X, y, grad=True)
+            return loss, np.concatenate([g.ravel() for g in grads])
+
+        res = minimize(fg, np.concatenate([a, W.ravel(), b]), jac=True, method="L-BFGS-B",
+                       options={"maxiter": maxiter, "maxcor": 30,
+                                "ftol": 1e-18, "gtol": 1e-14})
+        polished.append(unpack(res.x))
+        nits.append(res.nit)
+        nfevs.append(res.nfev)
+    return tuple(np.stack(p) for p in zip(*polished)), nits, nfevs

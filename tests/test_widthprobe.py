@@ -21,7 +21,7 @@ from widthlab.widthprobe import (
 from widthlab.widthprobe import _relu_loss
 from widthlab.util import spawn_rng
 
-from oracles import certificate_consistency
+from oracles import certificate_consistency, lbfgs_polish
 
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
 
@@ -106,6 +106,14 @@ class TestL2Error:
         val, se = l2_error(net, target, ("grid", 1 << 17), seed=0)
         assert se == 0.0
         assert val == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_empty_1d_grid_rejected(self, size):
+        """The 1-D grid takes its own Simpson path; it checks the size too."""
+        net = make_target_net(np.random.default_rng(6), 1)
+        target = TargetFunction.barron_explicit(make_target_net(np.random.default_rng(7), 1))
+        with pytest.raises(TargetError, match=f"quadrature size must be >= 1, got {size}"):
+            l2_error(net, target, ("grid", size), seed=0)
 
     def test_grid_and_mc_agree_within_3se(self):
         rng = np.random.default_rng(6)
@@ -268,6 +276,109 @@ class TestBatchedRestarts:
         target = TargetFunction.custom(lambda X: np.full(len(X), np.nan), 2)
         with pytest.raises(OptimizationError, match="every restart"):
             fit_constrained(target, t=1.0, width=4, config=self.CFG, seed=0)
+
+
+class TestLockstepPolish:
+    """Every restart's L-BFGS-B runs in lockstep, its requests answered by
+    one stacked loss call; each takes the steps of a lone scipy run."""
+
+    @staticmethod
+    def _kept(K, d, seed, width=8):
+        rng = np.random.default_rng(seed)
+        X = rng.random((256, d))
+        y = np.abs(X - 0.5).max(axis=1)
+        kept = (rng.standard_normal((K, width)), rng.standard_normal((K, width, d)),
+                0.3 * rng.standard_normal((K, width)))
+        return kept, X, y
+
+    @staticmethod
+    def _polish(kept, X, y, maxiter, monkeypatch):
+        """``_polish``'s networks and the lone result of its one
+        ``minimize`` call."""
+        results = []
+        lockstep = widthprobe.minimize
+
+        def spy(*args):
+            results.append(lockstep(*args))
+            return results[-1]
+        monkeypatch.setattr(widthprobe, "minimize", spy)
+        polished = widthprobe._polish(kept, X, y, maxiter)
+        (res,) = results
+        return polished, res
+
+    @staticmethod
+    def _assert_same(polished, want):
+        for got, ref in zip(polished, want):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_matches_lone_scipy_runs(self, K, d, monkeypatch):
+        kept, X, y = self._kept(K, d, seed=10 * K + d)
+        polished, res = self._polish(kept, X, y, 60, monkeypatch)
+        want, nits, nfevs = lbfgs_polish(kept, X, y, 60)
+        self._assert_same(polished, want)
+        assert (res.nit, res.nfev) == (sum(nits), sum(nfevs))
+
+    def test_rows_stop_at_different_iterations(self, monkeypatch):
+        """Rows that converge early leave the sweep while the others go on
+        to ``maxiter``."""
+        kept, X, y = self._kept(4, 2, seed=3)
+        polished, res = self._polish(kept, X, y, 90, monkeypatch)
+        want, nits, nfevs = lbfgs_polish(kept, X, y, 90)
+        assert min(nits) < 90 == max(nits)
+        self._assert_same(polished, want)
+        assert (res.nit, res.nfev) == (sum(nits), sum(nfevs))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_row_whose_loss_turns_non_finite(self, monkeypatch):
+        """A row whose loss overflows during the polish does what a lone
+        scipy run does with it, and the other rows are untouched."""
+        (a, W, b), X, y = self._kept(3, 2, seed=5)
+        a[1] /= 1e154
+        W[1] *= 1e154
+        b[1] *= 1e154
+        losses = []
+        loss_of = widthprobe._relu_loss
+
+        def spy(*args, **kwargs):
+            out = loss_of(*args, **kwargs)
+            losses.append(out[0])
+            return out
+        monkeypatch.setattr(widthprobe, "_relu_loss", spy)
+        polished, res = self._polish((a, W, b), X, y, 60, monkeypatch)
+        assert not all(np.isfinite(loss).all() for loss in losses)   # row 1's, alone
+        monkeypatch.setattr(widthprobe, "_relu_loss", loss_of)
+        want, nits, nfevs = lbfgs_polish((a, W, b), X, y, 60)
+        self._assert_same(polished, want)
+        assert (res.nit, res.nfev) == (sum(nits), sum(nfevs))
+
+    @pytest.mark.parametrize("polish_iters", [0, 20])
+    def test_fit_matches_lone_polish(self, polish_iters, monkeypatch):
+        """A fit's winners are those of the per-restart polish; with
+        ``polish_iters=0`` no L-BFGS-B runs at all."""
+        target = TargetFunction.distance_to_point_set(np.random.default_rng(14).random((2, 2)))
+        config = FitConfig(steps=60, restarts=3, quadrature=("mc", 256),
+                           polish_iters=polish_iters)
+        X = widthprobe._quadrature_points(config.quadrature, 2, 7)
+        calls = []
+        lockstep = widthprobe.minimize
+
+        def spy(*args):
+            calls.append(args)
+            return lockstep(*args)
+
+        def fit():
+            return widthprobe._fit_restarts(target, 0.8, 10, config, X, target.fn(X), seed=3)
+        monkeypatch.setattr(widthprobe, "minimize", spy)
+        got = fit()
+        assert len(calls) == (1 if polish_iters else 0)
+        monkeypatch.setattr(widthprobe, "_polish", lambda *args: lbfgs_polish(*args)[0])
+        want = fit()
+        for (net, loss), (ref, ref_loss) in zip(got, want):
+            assert loss == ref_loss
+            for f in ("outer", "inner", "bias"):
+                assert np.array_equal(getattr(net, f), getattr(ref, f))
 
 
 class TestRhoCurve:
