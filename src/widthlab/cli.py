@@ -38,7 +38,8 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
     ArithmeticError,  # overflow, underflow to a zero divisor, FloatingPointError
 )
-_VALIDATION_ERRORS = (ValueError, KeyError, OSError)  # OSError: unreadable input files
+# OSError: unreadable input files; MemoryError: a size numpy cannot allocate
+_VALIDATION_ERRORS = (ValueError, KeyError, OSError, MemoryError)
 
 
 # ---------------------------------------------------------------------------

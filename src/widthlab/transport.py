@@ -236,8 +236,9 @@ def _levels(points: np.ndarray, weights: np.ndarray):
     while m >= _MULTISCALE_MIN_ATOMS and level >= 1 and 4 << (level * d) <= m:
         k = 1 << level
         cells = np.minimum((points * k).astype(np.int64), k - 1)
-        cells, inverse = np.unique(cells, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+        # ascending linear cell index is the lexicographic order of the rows
+        index, inverse = np.unique(cells @ k ** np.arange(d - 1, -1, -1), return_inverse=True)
+        cells = np.stack(np.unravel_index(index, (k,) * d), axis=1)
         cell_of = np.empty(len(cells), dtype=np.int64)
         cell_of[inverse] = coarse
         out.append(((cells + 0.5) / k, np.bincount(inverse, weights=weights), cell_of))

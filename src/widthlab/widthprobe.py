@@ -11,9 +11,9 @@ which is exact for relu by positive homogeneity and leaves the network's
 direction unchanged.  A single quadrature point set is shared across the
 whole budget grid so that curve monotonicity is not polluted by quadrature
 noise, and each fit is seeded with the previous budget's solution, so the
-reported curve is nonincreasing by construction.  The restarts of a fit run
-as one stacked batch: Adam steps them together, and their L-BFGS-B polish
-runs in lockstep (:func:`minimize`), one stacked loss call per sweep.
+reported curve is nonincreasing by construction.  A fit's restarts are one
+array, a row each: Adam steps them together, their L-BFGS-B polish runs in
+lockstep (:func:`minimize`) and their candidates are scored as one stack.
 """
 
 from __future__ import annotations
@@ -153,15 +153,32 @@ class FitConfig:
             raise TargetError("polish_iters must be >= 0")
 
 
-def _relu_loss(a, W, b, X, y, grad=False):
-    """``(loss, act, grads)`` of ``f = relu(X W^T + b) a / m`` against y: the
-    mean squared residual, the hidden activations and, when ``grad`` is set,
-    ``(d/da, d/dW, d/db)`` (relu' is 0 at 0), else None.  ``a``, ``W`` and
-    ``b`` may stack networks on a leading axis; a stacked ``np.matmul`` does
-    each network's lone gemm, gemv or dot, so each slice matches it bitwise.
-    The in-place steps round as their out-of-place forms; ``mask`` keeps the
-    (n, m) layout, since its transpose changes the bits of d/dW and d/db."""
-    m, n = a.shape[-1], X.shape[0]
+def _views(P, m):
+    """``(a, W, b)`` of the width-m networks stacked in the rows of P, each
+    row laid out as ``[a, W row-major, b]`` (a lone network is one such
+    row); views, so writing them writes P."""
+    return P[..., :m], P[..., m:-m].reshape(P.shape[:-1] + (m, -1)), P[..., -m:]
+
+
+def _path_norms(P, m):
+    """Path norms of the networks stacked in P, with their neurons' path
+    weights ``|w_i|_1 + |b_i|``: :func:`path_norm`'s arithmetic, row by row."""
+    a, W, b = _views(P, m)
+    costs = np.abs(W).sum(axis=-1) + np.abs(b)
+    return np.sum(np.abs(a) * costs, axis=-1) / m, costs
+
+
+def _relu_loss(P, m, X, y, grad=False):
+    """``(loss, act, grad)`` of ``f = relu(X W^T + b) a / m`` against y for
+    the networks stacked in P (:func:`_views`): the mean squared residual, the
+    hidden activations and, when ``grad`` is set, the gradient laid out as P
+    (relu' is 0 at 0), else None.  A stacked ``np.matmul`` does each network's
+    lone gemm, gemv or dot on its strided views, so each row matches a lone
+    call bitwise.  The in-place steps round as their out-of-place forms;
+    ``mask`` keeps the (n, m) layout, since its transpose changes the bits of
+    d/dW and d/db."""
+    a, W, b = _views(P, m)
+    n = X.shape[0]
     pre = X @ np.swapaxes(W, -1, -2) + b[..., None, :]
     act = np.maximum(pre, 0.0)
     resid = (act @ a[..., None])[..., 0]
@@ -173,8 +190,9 @@ def _relu_loss(a, W, b, X, y, grad=False):
     g_common = 2.0 * resid / (n * m)
     mask = g_common[..., None] * a[..., None, :]
     mask *= pre > 0
-    return loss, act, ((np.swapaxes(act, -1, -2) @ g_common[..., None])[..., 0],
-                       np.swapaxes(mask, -1, -2) @ X, mask.sum(axis=-2))
+    gW = np.swapaxes(mask, -1, -2) @ X
+    return loss, act, np.concatenate([(np.swapaxes(act, -1, -2) @ g_common[..., None])[..., 0],
+                                      gW.reshape(*P.shape[:-1], -1), mask.sum(axis=-2)], axis=-1)
 
 
 def minimize(fg, x0, maxiter):
@@ -235,20 +253,6 @@ def minimize(fg, x0, maxiter):
     return OptimizeResult(x=x, nit=sum(nit), nfev=sum(nfev))
 
 
-def _polish(kept, X, y, maxiter):
-    """L-BFGS-B refinement of the K stacked networks ``kept = (a, W, b)``,
-    all through one :func:`minimize`; callers re-project afterwards."""
-    a, W, b = kept
-    K, m = a.shape
-    unpack = lambda v: (v[:, :m], v[:, m:-m].reshape(len(v), m, -1), v[:, -m:])
-
-    def fg(v):
-        loss, _, (ga, gW, gb) = _relu_loss(*unpack(v), X, y, grad=True)
-        return loss, np.concatenate([ga, gW.reshape(len(v), -1), gb], axis=1)
-
-    return unpack(minimize(fg, np.concatenate([a, W.reshape(K, -1), b], axis=1), maxiter).x)
-
-
 @dataclass
 class FitResult:
     net: TwoLayerNetwork
@@ -268,16 +272,14 @@ def project_path_norm(net: TwoLayerNetwork, t: float) -> TwoLayerNetwork:
     return net.scale_outer(t / pn)
 
 
-def _init_network(width: int, d: int, t: float, rng) -> TwoLayerNetwork:
+def _init_network(width: int, d: int, t: float, rng) -> np.ndarray:
     W = rng.standard_normal((width, d))
-    anchors = rng.random((width, d))
-    b = -np.einsum("ij,ij->i", W, anchors)  # kinks anchored inside the cube
-    a = 0.5 * rng.standard_normal(width)
-    net = TwoLayerNetwork(a, W, b, RELU, averaged=True)
-    pn = path_norm(net)
+    b = -np.einsum("ij,ij->i", W, rng.random((width, d)))  # kinks anchored inside the cube
+    row = np.concatenate([0.5 * rng.standard_normal(width), W.ravel(), b])
+    pn = _path_norms(row, width)[0]
     if pn > 0:
-        net = net.scale_outer(min(t, 1.0 + 0.5 * t) / pn)
-    return net
+        row[:width] *= min(t, 1.0 + 0.5 * t) / pn
+    return row
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -331,70 +333,65 @@ def _refit_outer(act: np.ndarray, y: np.ndarray, costs: np.ndarray, m: int,
     return np.divide(z, costs, out=np.zeros_like(z), where=keep)
 
 
-def _stack(nets):
-    return [np.stack([getattr(net, f) for net in nets]) for f in ("outer", "inner", "bias")]
-
-
 def _fit_restarts(target, t, width, config, X, y, seed) -> list:
     """Every restart of projected Adam on the shared quadrature set as one
-    stacked batch, the step size cosine-annealed from 0.08 to 1e-3.  Restart
-    r starts from ``spawn_rng(seed, r)`` and does the arithmetic of a lone
-    fit.  Entry r is its best candidate and loss, or None when its loss
-    turned non-finite and it was dropped."""
-    a, W, b = _stack([_init_network(width, target.d, t, spawn_rng(seed, r))
-                      for r in range(config.restarts)])
-    state = [np.zeros_like(p) for p in (a, W, b)]
-    state2 = [np.zeros_like(p) for p in (a, W, b)]
+    stack P of rows ``[a, W row-major, b]`` (:func:`_views`), the step size
+    cosine-annealed from 0.08 to 1e-3.  Restart r starts from
+    ``spawn_rng(seed, r)`` and does the arithmetic of a lone fit.  Entry r is
+    its best candidate and loss, or None when its loss turned non-finite and
+    it was dropped."""
+    P = np.stack([_init_network(width, target.d, t, spawn_rng(seed, r))
+                  for r in range(config.restarts)])
+    M1, M2 = np.zeros_like(P), np.zeros_like(P)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    alive = np.arange(config.restarts)      # restart of each row of a, W, b
+    alive = np.arange(config.restarts)      # restart of each row of P
     best_loss = np.full(config.restarts, np.inf)
-    best = [a.copy(), W.copy(), b.copy()]   # indexed by restart
+    best = P.copy()                         # indexed by restart
     for step in range(config.steps):
-        loss, _, grads = _relu_loss(a, W, b, X, y, grad=True)
+        loss, _, G = _relu_loss(P, width, X, y, grad=True)
         ok = np.isfinite(loss)
         if not ok.all():  # drop the restarts whose loss turned non-finite
-            alive, loss, a, W, b = alive[ok], loss[ok], a[ok], W[ok], b[ok]
-            grads, state, state2 = ([v[ok] for v in vs] for vs in (grads, state, state2))
+            alive, loss, P, G, M1, M2 = (v[ok] for v in (alive, loss, P, G, M1, M2))
             if not alive.size:
                 return [None] * config.restarts
         better = loss < best_loss[alive]
         best_loss[alive[better]] = loss[better]
-        for kept, p in zip(best, (a, W, b)):
-            kept[alive[better]] = p[better]
+        best[alive[better]] = P[better]
         lr = 1e-3 + 0.5 * (0.08 - 1e-3) * (1 + math.cos(math.pi * step / config.steps))
-        for p, g, m1, m2 in zip((a, W, b), grads, state, state2):
-            m1 *= beta1
-            m1 += (1 - beta1) * g
-            m2 *= beta2
-            m2 += (1 - beta2) * g * g
-            mhat = m1 / (1 - beta1 ** (step + 1))
-            vhat = m2 / (1 - beta2 ** (step + 1))
-            p -= lr * mhat / (np.sqrt(vhat) + eps)
-        # radial projection back onto the budget ball; path_norm's arithmetic
-        pn = np.sum(np.abs(a) * (np.abs(W).sum(axis=-1) + np.abs(b)), axis=-1) / width
+        M1 *= beta1
+        M1 += (1 - beta1) * G
+        M2 *= beta2
+        M2 += (1 - beta2) * G * G
+        mhat = M1 / (1 - beta1 ** (step + 1))
+        vhat = M2 / (1 - beta2 ** (step + 1))
+        P -= lr * mhat / (np.sqrt(vhat) + eps)
+        # radial projection back onto the budget ball
+        pn = _path_norms(P, width)[0]
         over = (pn > t) & (pn > 0)
-        a[over] *= (t / pn[over])[:, None]
+        P[over, :width] *= (t / pn[over])[:, None]
     # per restart: the best iterate, its L-BFGS polish (all restarts in
-    # lockstep) and the last iterate, each projected and then refit, all 3R
-    # candidates in one batch
-    kept = [p[alive] for p in best]
-    polished = _polish(kept, X, y, config.polish_iters) if config.polish_iters else kept
-    cands = [project_path_norm(TwoLayerNetwork(*(p[row] for p in params), RELU,
-                                               averaged=True), t)
-             for row in range(len(alive)) for params in (kept, polished, (a, W, b))]
-    outer, inner, bias = _stack(cands)
-    loss, act, _ = _relu_loss(outer, inner, bias, X, y)
+    # lockstep) and the last iterate, each projected as project_path_norm
+    # does (a NaN path norm included) and then refit, all 3R in one stack
+    kept = best[alive]
+    fg = lambda V: _relu_loss(V, width, X, y, grad=True)[::2]
+    polished = minimize(fg, kept, config.polish_iters).x if config.polish_iters else kept
+    cands = np.stack([kept, polished, P], axis=1).reshape(3 * len(alive), -1)
+    pn, costs = _path_norms(cands, width)
+    scale = ~((pn <= t) | (pn == 0.0))
+    cands[scale, :width] *= (t / pn[scale])[:, None]
+    loss, act, _ = _relu_loss(cands, width, X, y)
     # convex polish: with these features frozen, the outer layer solves a
     # budgeted least-squares problem exactly
-    costs = np.abs(inner).sum(axis=-1) + np.abs(bias)
-    a_star = _refit_outer(act, y, costs, width, t, outer)
-    refit_loss = _relu_loss(a_star, inner, bias, X, y)[0]
+    refits = cands.copy()
+    refits[:, :width] = _refit_outer(act, y, costs, width, t, cands[:, :width])
+    # per restart: each candidate, then its refit
+    pool = np.stack([cands, refits], axis=1).reshape(len(alive), 6, -1)
+    pool_loss = np.stack([loss, _relu_loss(refits, width, X, y)[0]], axis=1).reshape(-1, 6)
     winners = [None] * config.restarts
     for row, r in enumerate(alive):
-        finals = [pair for k in range(3 * row, 3 * row + 3) for pair in (
-            (cands[k], loss[k]),
-            (TwoLayerNetwork(a_star[k], inner[k], bias[k], RELU, averaged=True), refit_loss[k]))]
-        winners[r] = min(finals, key=lambda c: c[1])
+        k = min(range(6), key=pool_loss[row].__getitem__)
+        winners[r] = (TwoLayerNetwork(*_views(pool[row, k], width), RELU, averaged=True),
+                      pool_loss[row, k])
     return winners
 
 

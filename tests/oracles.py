@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from widthlab.barron import PiecewiseLinear1D
+from widthlab.barron import RELU, PiecewiseLinear1D, TwoLayerNetwork, path_norm
 from widthlab.separation import Number, width_exponent
 from widthlab.transport import (
     TORUS_LINF,
@@ -20,8 +20,8 @@ from widthlab.transport import (
     TransportError,
     _check_balls,
 )
-from widthlab.util import fit_loglog
-from widthlab.widthprobe import WidthCurve, _relu_loss
+from widthlab.util import fit_loglog, spawn_rng
+from widthlab.widthprobe import WidthCurve, _refit_outer, project_path_norm
 
 
 def piecewise_linear_values(f: PiecewiseLinear1D, x) -> np.ndarray:
@@ -132,28 +132,127 @@ def certificate_consistency(curve: WidthCurve, exponent: float) -> dict:
             "certified_exponent": exponent}
 
 
-def lbfgs_polish(kept, X, y, maxiter):
-    """The L-BFGS polish one restart at a time: each network of the stack
-    ``kept = (a, W, b)`` goes alone through ``scipy.optimize.minimize(method=
-    "L-BFGS-B")`` with the polish's options, on lone loss calls.  Returns the
-    stacked polished networks and each run's ``nit`` and ``nfev``."""
+def relu_loss_per_array(a, W, b, X, y, grad=False):
+    """The relu loss on three arrays ``(a, W, b)``, each network's on a
+    leading axis: ``(loss, act, (d/da, d/dW, d/db))``, the form the fit's
+    kernel had before it read one parameter stack."""
+    m, n = a.shape[-1], X.shape[0]
+    pre = X @ np.swapaxes(W, -1, -2) + b[..., None, :]
+    act = np.maximum(pre, 0.0)
+    resid = (act @ a[..., None])[..., 0]
+    resid /= m
+    resid -= y
+    loss = (resid[..., None, :] @ resid[..., None])[..., 0, 0] / n
+    if not grad:
+        return loss, act, None
+    g_common = 2.0 * resid / (n * m)
+    mask = g_common[..., None] * a[..., None, :]
+    mask *= pre > 0
+    return loss, act, ((np.swapaxes(act, -1, -2) @ g_common[..., None])[..., 0],
+                       np.swapaxes(mask, -1, -2) @ X, mask.sum(axis=-2))
+
+
+def lbfgs_polish(P, m, X, y, maxiter):
+    """The L-BFGS polish one restart at a time: each row ``[a, W row-major,
+    b]`` of the width-m stack P goes alone through ``scipy.optimize.minimize(
+    method="L-BFGS-B")`` with the polish's options, on lone per-array loss
+    calls.  Returns the stacked polished rows and each run's ``nit`` and
+    ``nfev``."""
     from scipy.optimize import minimize
 
+    def unpack(v):
+        return v[:m], v[m:-m].reshape(m, -1), v[-m:]
+
+    def fg(v):
+        loss, _, grads = relu_loss_per_array(*unpack(v), X, y, grad=True)
+        return loss, np.concatenate([g.ravel() for g in grads])
+
     polished, nits, nfevs = [], [], []
-    for a, W, b in zip(*kept):
-        m = len(a)
-
-        def unpack(v):
-            return v[:m], v[m:-m].reshape(m, -1), v[-m:]
-
-        def fg(v):
-            loss, _, grads = _relu_loss(*unpack(v), X, y, grad=True)
-            return loss, np.concatenate([g.ravel() for g in grads])
-
-        res = minimize(fg, np.concatenate([a, W.ravel(), b]), jac=True, method="L-BFGS-B",
+    for v0 in P:
+        res = minimize(fg, v0, jac=True, method="L-BFGS-B",
                        options={"maxiter": maxiter, "maxcor": 30,
                                 "ftol": 1e-18, "gtol": 1e-14})
-        polished.append(unpack(res.x))
+        polished.append(res.x)
         nits.append(res.nit)
         nfevs.append(res.nfev)
-    return tuple(np.stack(p) for p in zip(*polished)), nits, nfevs
+    return np.stack(polished), nits, nfevs
+
+
+def init_network_per_array(width, d, t, rng) -> TwoLayerNetwork:
+    """A fit's random start as a network, scaled into the budget by
+    :func:`path_norm`."""
+    W = rng.standard_normal((width, d))
+    anchors = rng.random((width, d))
+    b = -np.einsum("ij,ij->i", W, anchors)  # kinks anchored inside the cube
+    a = 0.5 * rng.standard_normal(width)
+    net = TwoLayerNetwork(a, W, b, RELU, averaged=True)
+    pn = path_norm(net)
+    if pn > 0:
+        net = net.scale_outer(min(t, 1.0 + 0.5 * t) / pn)
+    return net
+
+
+def fit_restarts_per_array(target, t, width, config, X, y, seed,
+                           init=init_network_per_array) -> list:
+    """A fit's restarts with each network's parameters in three arrays
+    ``(a, W, b)``: Adam steps the three stacks one by one, each restart is
+    polished alone (:func:`lbfgs_polish`), and every candidate is a
+    :class:`TwoLayerNetwork`, projected by :func:`project_path_norm`.  Entry r
+    is restart r's best candidate and loss, or None when it was dropped."""
+    def stack(nets):
+        return [np.stack([getattr(net, f) for net in nets]) for f in ("outer", "inner", "bias")]
+
+    a, W, b = stack([init(width, target.d, t, spawn_rng(seed, r))
+                     for r in range(config.restarts)])
+    state = [np.zeros_like(p) for p in (a, W, b)]
+    state2 = [np.zeros_like(p) for p in (a, W, b)]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    alive = np.arange(config.restarts)
+    best_loss = np.full(config.restarts, np.inf)
+    best = [a.copy(), W.copy(), b.copy()]
+    for step in range(config.steps):
+        loss, _, grads = relu_loss_per_array(a, W, b, X, y, grad=True)
+        ok = np.isfinite(loss)
+        if not ok.all():
+            alive, loss, a, W, b = alive[ok], loss[ok], a[ok], W[ok], b[ok]
+            grads, state, state2 = ([v[ok] for v in vs] for vs in (grads, state, state2))
+            if not alive.size:
+                return [None] * config.restarts
+        better = loss < best_loss[alive]
+        best_loss[alive[better]] = loss[better]
+        for kept, p in zip(best, (a, W, b)):
+            kept[alive[better]] = p[better]
+        lr = 1e-3 + 0.5 * (0.08 - 1e-3) * (1 + math.cos(math.pi * step / config.steps))
+        for p, g, m1, m2 in zip((a, W, b), grads, state, state2):
+            m1 *= beta1
+            m1 += (1 - beta1) * g
+            m2 *= beta2
+            m2 += (1 - beta2) * g * g
+            mhat = m1 / (1 - beta1 ** (step + 1))
+            vhat = m2 / (1 - beta2 ** (step + 1))
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+        pn = np.sum(np.abs(a) * (np.abs(W).sum(axis=-1) + np.abs(b)), axis=-1) / width
+        over = (pn > t) & (pn > 0)
+        a[over] *= (t / pn[over])[:, None]
+    kept = [p[alive] for p in best]
+    polished = kept
+    if config.polish_iters:
+        rows = lbfgs_polish(np.concatenate([kept[0], kept[1].reshape(len(alive), -1), kept[2]],
+                                           axis=1), width, X, y, config.polish_iters)[0]
+        polished = (rows[:, :width], rows[:, width:-width].reshape(len(alive), width, -1),
+                    rows[:, -width:])
+    cands = [project_path_norm(TwoLayerNetwork(*(p[row] for p in params), RELU,
+                                               averaged=True), t)
+             for row in range(len(alive)) for params in (kept, polished, (a, W, b))]
+    outer, inner, bias = stack(cands)
+    loss, act, _ = relu_loss_per_array(outer, inner, bias, X, y)
+    costs = np.abs(inner).sum(axis=-1) + np.abs(bias)
+    a_star = _refit_outer(act, y, costs, width, t, outer)
+    refit_loss = relu_loss_per_array(a_star, inner, bias, X, y)[0]
+    winners = [None] * config.restarts
+    for row, r in enumerate(alive):
+        finals = [pair for k in range(3 * row, 3 * row + 3) for pair in (
+            (cands[k], loss[k]),
+            (TwoLayerNetwork(a_star[k], inner[k], bias[k], RELU, averaged=True), refit_loss[k]))]
+        winners[r] = min(finals, key=lambda c: c[1])
+    return winners

@@ -286,6 +286,23 @@ class TestSubcommandSmoke:
                        "--out", str(tmp_path)])
         assert rc == 3
 
+    def test_allocation_failure_exits_2(self, monkeypatch, tmp_path, capsys):
+        """A size numpy cannot allocate (``width --quad`` 10^11, say) is an
+        invalid configuration.  The runner raises the error itself: a real
+        request of that size may be granted under overcommit and then fill
+        the machine's memory."""
+        def boom(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                              "(100000000000, 1) and data type float64")
+        monkeypatch.setitem(cli._RUNNERS, "width", boom)
+        rc = cli.main(["width", "--t-grid", "1", "--quad", "100000000000",
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("invalid configuration: Unable to allocate 745. GiB")
+        assert not (tmp_path / "results.csv").exists()
+
 
 # Valid values for the required flags of each (subcommand, choice), the
 # choice first as its selector flag.  The network file is never read before

@@ -456,6 +456,29 @@ class TestW1Exact:
         monkeypatch.setattr(transport, "_BLOCK_ENTRIES", rows * n + 1)
         assert (w1_exact(grid, emp, CUBE_LINF), columns) == default
 
+    @pytest.mark.parametrize("d,atoms", [(1, 4096), (2, 4096), (2, 3000), (3, 4096), (4, 5000)])
+    def test_levels_match_the_unique_cell_rows(self, d, atoms):
+        """Each coarse level holds the distinct cells in lexicographic row
+        order, its masses summed per cell, as ``np.unique(cells, axis=0)``
+        orders them."""
+        from widthlab import transport
+
+        rng = np.random.default_rng(d * atoms)
+        points, weights = rng.random((atoms, d)), rng.dirichlet(np.ones(atoms))
+        levels = transport._levels(points, weights)
+        assert len(levels) >= 2
+        coarse = np.zeros(atoms, dtype=np.int64)
+        for centres, mass, cell_of in levels[:-1]:
+            k = round(0.5 / np.min(centres))
+            cells = np.minimum((points * k).astype(np.int64), k - 1)
+            want, inverse = np.unique(cells, axis=0, return_inverse=True)
+            inverse = inverse.ravel()
+            assert np.array_equal(centres, (want + 0.5) / k)
+            assert np.array_equal(mass, np.bincount(inverse, weights=weights))
+            assert np.array_equal(cell_of[inverse], coarse)
+            coarse = inverse
+        assert np.array_equal(levels[-1][2], coarse)
+
     def test_dimension_mismatch(self):
         with pytest.raises(TransportError):
             w1_exact(DiscreteMeasure(np.atleast_2d([0.5]), [1.0]),

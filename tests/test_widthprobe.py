@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from widthlab import widthprobe
 from widthlab.barron import RELU, OptimizationError, TwoLayerNetwork, path_norm
@@ -21,7 +22,12 @@ from widthlab.widthprobe import (
 from widthlab.widthprobe import _relu_loss
 from widthlab.util import spawn_rng
 
-from oracles import certificate_consistency, lbfgs_polish
+from oracles import (
+    certificate_consistency,
+    fit_restarts_per_array,
+    init_network_per_array,
+    lbfgs_polish,
+)
 
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
 
@@ -141,24 +147,24 @@ class TestReluLoss:
         X, y = rng.random((n, d)), rng.standard_normal(n)
         # no pre-activation within reach of a kink, so the loss is smooth
         assert np.min(np.abs(X @ W.T + b)) > 1e-3
-        loss, act, grads = _relu_loss(a, W, b, X, y, grad=True)
+        P = np.concatenate([a, W.ravel(), b])
+        loss, act, grad = _relu_loss(P, m, X, y, grad=True)
         net = TwoLayerNetwork(a, W, b, RELU, averaged=True)
         assert loss == pytest.approx(np.mean((net.evaluate(X) - y) ** 2), rel=1e-12)
         np.testing.assert_array_equal(act, np.maximum(X @ W.T + b, 0.0))
-        assert _relu_loss(a, W, b, X, y)[2] is None
+        assert _relu_loss(P, m, X, y)[2] is None
         h = 1e-6
-        for p, g in zip((a, W, b), grads):
-            assert g.shape == p.shape
-            fd = np.empty_like(p)
-            for i in np.ndindex(p.shape):
-                orig = p[i]
-                p[i] = orig + h
-                up = _relu_loss(a, W, b, X, y)[0]
-                p[i] = orig - h
-                down = _relu_loss(a, W, b, X, y)[0]
-                p[i] = orig
-                fd[i] = (up - down) / (2 * h)
-            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
+        assert grad.shape == P.shape
+        fd = np.empty_like(P)
+        for i in range(len(P)):
+            orig = P[i]
+            P[i] = orig + h
+            up = _relu_loss(P, m, X, y)[0]
+            P[i] = orig - h
+            down = _relu_loss(P, m, X, y)[0]
+            P[i] = orig
+            fd[i] = (up - down) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
 class TestFitConstrained:
@@ -252,11 +258,11 @@ class TestBatchedRestarts:
         lone = widthprobe._init_network
 
         def init(width, d, t, rng):
-            net = lone(width, d, t, rng)
+            row = lone(width, d, t, rng)
             if init.calls == 1:
-                net.outer[0] = np.inf
+                row[0] = np.inf    # its first outer weight
             init.calls += 1
-            return net
+            return row
         init.calls = 0
         winners = self._winners(3, init)
         assert winners[1] is None
@@ -282,29 +288,26 @@ class TestLockstepPolish:
     """Every restart's L-BFGS-B runs in lockstep, its requests answered by
     one stacked loss call; each takes the steps of a lone scipy run."""
 
-    @staticmethod
-    def _kept(K, d, seed, width=8):
+    WIDTH = 8
+
+    @classmethod
+    def _kept(cls, K, d, seed):
+        """K stacked width-8 networks, rows ``[a, W row-major, b]``."""
         rng = np.random.default_rng(seed)
         X = rng.random((256, d))
         y = np.abs(X - 0.5).max(axis=1)
-        kept = (rng.standard_normal((K, width)), rng.standard_normal((K, width, d)),
-                0.3 * rng.standard_normal((K, width)))
+        m = cls.WIDTH
+        kept = np.concatenate([rng.standard_normal((K, m)), rng.standard_normal((K, m * d)),
+                               0.3 * rng.standard_normal((K, m))], axis=1)
         return kept, X, y
 
-    @staticmethod
-    def _polish(kept, X, y, maxiter, monkeypatch):
-        """``_polish``'s networks and the lone result of its one
-        ``minimize`` call."""
-        results = []
-        lockstep = widthprobe.minimize
-
-        def spy(*args):
-            results.append(lockstep(*args))
-            return results[-1]
-        monkeypatch.setattr(widthprobe, "minimize", spy)
-        polished = widthprobe._polish(kept, X, y, maxiter)
-        (res,) = results
-        return polished, res
+    @classmethod
+    def _polish(cls, kept, X, y, maxiter):
+        """The fit's polish of the stack ``kept``, one ``minimize`` call on
+        the stacked loss: its rows and its result."""
+        fg = lambda V: widthprobe._relu_loss(V, cls.WIDTH, X, y, grad=True)[::2]
+        res = widthprobe.minimize(fg, kept, maxiter)
+        return res.x, res
 
     @staticmethod
     def _assert_same(polished, want):
@@ -313,19 +316,19 @@ class TestLockstepPolish:
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_matches_lone_scipy_runs(self, K, d, monkeypatch):
+    def test_matches_lone_scipy_runs(self, K, d):
         kept, X, y = self._kept(K, d, seed=10 * K + d)
-        polished, res = self._polish(kept, X, y, 60, monkeypatch)
-        want, nits, nfevs = lbfgs_polish(kept, X, y, 60)
+        polished, res = self._polish(kept, X, y, 60)
+        want, nits, nfevs = lbfgs_polish(kept, self.WIDTH, X, y, 60)
         self._assert_same(polished, want)
         assert (res.nit, res.nfev) == (sum(nits), sum(nfevs))
 
-    def test_rows_stop_at_different_iterations(self, monkeypatch):
+    def test_rows_stop_at_different_iterations(self):
         """Rows that converge early leave the sweep while the others go on
         to ``maxiter``."""
         kept, X, y = self._kept(4, 2, seed=3)
-        polished, res = self._polish(kept, X, y, 90, monkeypatch)
-        want, nits, nfevs = lbfgs_polish(kept, X, y, 90)
+        polished, res = self._polish(kept, X, y, 90)
+        want, nits, nfevs = lbfgs_polish(kept, self.WIDTH, X, y, 90)
         assert min(nits) < 90 == max(nits)
         self._assert_same(polished, want)
         assert (res.nit, res.nfev) == (sum(nits), sum(nfevs))
@@ -334,10 +337,9 @@ class TestLockstepPolish:
     def test_row_whose_loss_turns_non_finite(self, monkeypatch):
         """A row whose loss overflows during the polish does what a lone
         scipy run does with it, and the other rows are untouched."""
-        (a, W, b), X, y = self._kept(3, 2, seed=5)
-        a[1] /= 1e154
-        W[1] *= 1e154
-        b[1] *= 1e154
+        kept, X, y = self._kept(3, 2, seed=5)
+        kept[1, :self.WIDTH] /= 1e154       # a
+        kept[1, self.WIDTH:] *= 1e154       # W and b
         losses = []
         loss_of = widthprobe._relu_loss
 
@@ -346,10 +348,10 @@ class TestLockstepPolish:
             losses.append(out[0])
             return out
         monkeypatch.setattr(widthprobe, "_relu_loss", spy)
-        polished, res = self._polish((a, W, b), X, y, 60, monkeypatch)
+        polished, res = self._polish(kept, X, y, 60)
         assert not all(np.isfinite(loss).all() for loss in losses)   # row 1's, alone
         monkeypatch.setattr(widthprobe, "_relu_loss", loss_of)
-        want, nits, nfevs = lbfgs_polish((a, W, b), X, y, 60)
+        want, nits, nfevs = lbfgs_polish(kept, self.WIDTH, X, y, 60)
         self._assert_same(polished, want)
         assert (res.nit, res.nfev) == (sum(nits), sum(nfevs))
 
@@ -373,12 +375,72 @@ class TestLockstepPolish:
         monkeypatch.setattr(widthprobe, "minimize", spy)
         got = fit()
         assert len(calls) == (1 if polish_iters else 0)
-        monkeypatch.setattr(widthprobe, "_polish", lambda *args: lbfgs_polish(*args)[0])
+        monkeypatch.setattr(widthprobe, "minimize", lambda fg, kept, maxiter: OptimizeResult(
+            x=lbfgs_polish(kept, 10, X, target.fn(X), maxiter)[0]))
         want = fit()
         for (net, loss), (ref, ref_loss) in zip(got, want):
             assert loss == ref_loss
             for f in ("outer", "inner", "bias"):
                 assert np.array_equal(getattr(net, f), getattr(ref, f))
+
+
+class TestParameterStack:
+    """A fit keeps its restarts in one stack of rows ``[a, W row-major, b]``
+    from Adam to the winners; they are the winners of the fit on three
+    arrays per network (``oracles.fit_restarts_per_array``), bit for bit."""
+
+    @staticmethod
+    def _fits(d, width, restarts, polish_iters, poisoned=()):
+        """The winners of both fits; each restart in ``poisoned`` starts with
+        an infinite outer weight, so it is dropped at the first step."""
+        target = TargetFunction.distance_to_point_set(np.random.default_rng(15).random((3, d)))
+        config = FitConfig(steps=50, restarts=restarts, quadrature=("mc", 200),
+                           polish_iters=polish_iters)
+        X = widthprobe._quadrature_points(config.quadrature, d, 7)
+
+        def poison(init, first_outer):
+            def wrapped(width, d, t, rng):
+                start = init(width, d, t, rng)
+                if wrapped.calls in poisoned:
+                    first_outer(start)[0] = np.inf
+                wrapped.calls += 1
+                return start
+            wrapped.calls = 0
+            return wrapped
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(widthprobe, "_init_network",
+                          poison(widthprobe._init_network, lambda row: row))
+            got = widthprobe._fit_restarts(target, 0.7, width, config, X, target.fn(X), seed=5)
+        want = fit_restarts_per_array(
+            target, 0.7, width, config, X, target.fn(X), seed=5,
+            init=poison(init_network_per_array, lambda net: net.outer))
+        return got, want
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                (net, loss), (ref, ref_loss) = g, w
+                assert loss == ref_loss
+                for f in ("outer", "inner", "bias"):
+                    assert np.array_equal(getattr(net, f), getattr(ref, f))
+
+    @pytest.mark.parametrize("polish_iters", [0, 15])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("width", [1, 5, 16])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_matches_per_array_fit(self, d, width, restarts, polish_iters):
+        self._assert_same(*self._fits(d, width, restarts, polish_iters))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("polish_iters", [0, 15])
+    @pytest.mark.parametrize("poisoned", [(1,), (0, 2), (0, 1, 2)])
+    def test_dropped_restarts_match_per_array_fit(self, poisoned, polish_iters):
+        got, want = self._fits(2, 6, 3, polish_iters, poisoned)
+        assert [r for r, w in enumerate(got) if w is None] == list(poisoned)
+        self._assert_same(got, want)
 
 
 class TestRhoCurve:
