@@ -86,8 +86,8 @@ class TwoLayerNetwork:
     outer: np.ndarray          # (m,)
     inner: np.ndarray          # (m, d)
     bias: np.ndarray           # (m,)
-    activation: ActivationSpec = RELU
-    averaged: bool = True
+    activation: ActivationSpec
+    averaged: bool
 
     def __post_init__(self):
         self.outer = np.atleast_1d(np.asarray(self.outer, dtype=float))
@@ -248,8 +248,8 @@ def _sup_relu_draws(X, draws, restarts, rng):
     return best
 
 
-def rademacher_estimate(sample, restarts: int = 16, seed: int = 0,
-                        sign_draws: int = 32) -> RademacherEstimate:
+def rademacher_estimate(sample, restarts: int, seed: int,
+                        sign_draws: int) -> RademacherEstimate:
     """Monte-Carlo Rademacher complexity of the unit relu path-norm ball.
 
     For each sign vector the supremum over the ball is reduced to signed

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -314,9 +313,8 @@ def _parse_json_value(spec: ParamSpec, value):
 def _run_separation(cfg: RunConfig) -> RunOutput:
     p = cfg.parameters
     params = separation.SeparationParams(
-        alpha=p["alpha"], beta=p["beta"], c_fast=p["c-fast"],
-        c_slow=p["c-slow"], c_ambient=p["c-ambient"])
-    wb = separation.width_bound(params)
+        alpha=p["alpha"], beta=p["beta"], c_fast=p["c-fast"], c_slow=p["c-slow"])
+    wb = separation.width_bound(params, p["c-ambient"])
     rows = []
     for t in p["t"]:
         out = wb.evaluate(t)
@@ -506,7 +504,7 @@ def _run_width(cfg: RunConfig) -> RunOutput:
         net = barron.TwoLayerNetwork.from_dict(json.loads(Path(p["network"]).read_text()))
         target = widthprobe.TargetFunction.barron_explicit(net)
     config = widthprobe.FitConfig(steps=p["steps"], restarts=p["restarts"],
-                                  quadrature=("mc", p["quad"]))
+                                  quadrature=("mc", p["quad"]), polish_iters=300)
     curve = widthprobe.rho_curve(target, p["t-grid"], width=p["width"],
                                  config=config, seed=cfg.seed)
     rows = [{"t": pt.t, "error": pt.error, "error_se": pt.error_se}
@@ -546,18 +544,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _sanitize_json(obj):
     """Replace non-finite floats with strings so emitted JSON stays strict."""
     if isinstance(obj, dict):
@@ -573,15 +559,13 @@ def write_outputs(cfg: RunConfig, out: RunOutput) -> Path:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "manifest.json").write_text(
-        json.dumps(cfg.manifest(), indent=2, sort_keys=True, default=_json_default)
-        + "\n")
+        json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n")
     lines = [",".join(out.header)]
     for row in out.rows:
         lines.append(",".join(_csv_cell(row[h]) for h in out.header))
     (outdir / "results.csv").write_text("\n".join(lines) + "\n")
     (outdir / "results.json").write_text(
-        json.dumps(_sanitize_json(out.summary), indent=2, sort_keys=True,
-                   default=_json_default) + "\n")
+        json.dumps(_sanitize_json(out.summary), indent=2, sort_keys=True) + "\n")
     if cfg.emit_plots and out.plot is not None:
         svg = loglog_plot_svg(out.plot.x, out.plot.y, out.plot.slope,
                               out.plot.intercept, out.plot.title,
@@ -600,7 +584,11 @@ def run(cfg: RunConfig) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    write_outputs(cfg, out)
+    try:
+        write_outputs(cfg, out)
+    except OSError as exc:  # e.g. --out under a regular file
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lgamma, pi
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import linalg, special
@@ -183,7 +183,7 @@ def _relu_profile_integral(d: int, k: int, npts: int) -> float:
     return float(0.5 ** (alpha + 1.0) * np.dot(w, vals))
 
 
-def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int = 200) -> float:
+def funk_hecke_eigenvalue(d: int, k: int, quadrature_points: int) -> float:
     """Degree-k eigenvalue by one-dimensional Gegenbauer-weighted quadrature.
 
     Integrates the relu activation profile, reproducing the tabulated
@@ -315,7 +315,7 @@ class NtkSandwich:
         return self.reversed_upper_min >= self.tolerance()
 
 
-def ntk_gram(points, a0: float, param_samples: int = 8192, seed: int = 0) -> NtkSandwich:
+def ntk_gram(points, a0: float, param_samples: int, seed: int) -> NtkSandwich:
     """Tangent and random-feature Gram matrices from one parameter sample.
 
     Parameters are drawn with ``|a| = a0`` and unit ``(w, b)``; the outer
@@ -349,7 +349,7 @@ def ntk_gram(points, a0: float, param_samples: int = 8192, seed: int = 0) -> Ntk
 MAX_NYSTROM_POINTS = 5000
 
 
-def nystrom_spectrum(d: int, n: int, seed: int = 0) -> np.ndarray:
+def nystrom_spectrum(d: int, n: int, seed: int) -> np.ndarray:
     """Nonincreasing eigenvalues of Gram/n on n uniform samples of S^d.
 
     The Gram is that of the sphere random-feature kind (weights uniform on
@@ -409,13 +409,11 @@ class KernelSpectrum:
     degrees: List[DegreeEigenvalue]
     flags: Dict[int, dict]
 
-    def mu(self, count: Optional[int] = None) -> np.ndarray:
-        """Eigenvalues repeated with multiplicity, sorted nonincreasing; with
-        ``count``, only the leading ``count`` entries are built."""
+    def mu(self, count: int) -> np.ndarray:
+        """The leading ``count`` eigenvalues repeated with multiplicity,
+        sorted nonincreasing; only those entries are built."""
         top = sorted(self.degrees, key=lambda e: e.value, reverse=True)
-        ends = np.cumsum([e.mult for e in top], dtype=np.int64)
-        if count is not None:
-            ends = np.minimum(ends, max(count, 0))
+        ends = np.minimum(np.cumsum([e.mult for e in top], dtype=np.int64), max(count, 0))
         return np.repeat([e.value for e in top], np.diff(ends, prepend=0))
 
     def trace_sum(self) -> float:
@@ -425,7 +423,7 @@ class KernelSpectrum:
 _ORACLE_ZERO_TOL = 1e-12
 
 
-def exact_spectrum(d: int, max_degree: int, quadrature_points: int = 200) -> KernelSpectrum:
+def exact_spectrum(d: int, max_degree: int, quadrature_points: int) -> KernelSpectrum:
     """Spectrum for degrees 0..max_degree in the first-order convention.
 
     Degrees 0 and 1 come from the quadrature oracle (outside the closed

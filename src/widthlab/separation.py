@@ -41,22 +41,21 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class SeparationParams:
-    """Rate constants of the fast/slow/ambient operator estimates.
+    """Rate constants of the fast/slow operator estimates.
 
     ``alpha``/``c_fast`` bound the operator norm on the fast class from
     above by ``c_fast * n**-alpha``; ``beta``/``c_slow`` bound it on the slow
-    class from below by ``c_slow * n**-beta``; ``c_ambient`` bounds it on the
-    ambient space.
+    class from below by ``c_slow * n**-beta``.  The ambient bound
+    ``c_ambient`` is an argument of :func:`width_bound`, its only reader.
     """
 
     alpha: Number
     beta: Number
-    c_fast: Number = 1.0
-    c_slow: Number = 1.0
-    c_ambient: Number = 1.0
+    c_fast: Number
+    c_slow: Number
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "c_fast", "c_slow", "c_ambient"):
+        for name in ("alpha", "beta", "c_fast", "c_slow"):
             v = getattr(self, name)
             if not v > 0:
                 raise ParameterError(f"{name} must be strictly positive, got {v!r}")
@@ -120,16 +119,19 @@ class BoundValue:
     below_threshold: bool
 
 
-def width_bound(params: SeparationParams) -> WidthBound:
-    """Assemble exponent, prefactor and validity threshold from the constants.
+def width_bound(params: SeparationParams, c_ambient: Number) -> WidthBound:
+    """Assemble exponent, prefactor and validity threshold from the constants,
+    ``c_ambient`` bounding the operator norm on the ambient space.
 
     prefactor = 2**-beta * (c_slow/2)**(alpha/(alpha-beta))
                 / (c_ambient * c_fast**(beta/(alpha-beta)))
     threshold = c_slow / (2 c_fast)
     """
+    if not c_ambient > 0:
+        raise ParameterError(f"c_ambient must be strictly positive, got {c_ambient!r}")
     params.require_bound_valid()
     alpha, beta = float(params.alpha), float(params.beta)
-    c_fast, c_slow, c_amb = float(params.c_fast), float(params.c_slow), float(params.c_ambient)
+    c_fast, c_slow, c_amb = float(params.c_fast), float(params.c_slow), float(c_ambient)
     expo = width_exponent(alpha, beta)
     prefactor = (
         2.0 ** (-beta) * (c_slow / 2.0) ** (alpha / (alpha - beta)) / (c_amb * c_fast**expo)

@@ -9,14 +9,15 @@ of the smoothed evaluation functionals
 
 which stays bounded uniformly in n when ``eps = gamma_d n**(-1/d)``.
 
-Conventions.  Points live in ``[0,1)^d``.  The default ground norm is the
-sup norm.  The ball layer (intersection volumes, indicator sums, the
-surrogate) knows one metric only: sup-norm balls on the flat torus, that is
-axis-aligned cubes whose distances wrap per coordinate, so volumes and
-pairwise intersection volumes are exact products and boundary effects
-vanish.  The empirical-rate experiment defaults to the plain unit cube for
-W1, where the covering bound argument also applies verbatim, and reports
-the surrogate on torus balls whatever its ground metric.
+Conventions.  Points live in ``[0,1)^d``.  W1 and the covering bound take
+their ground metric from the caller; the CLI's ``transport`` run defaults
+to the sup norm on the plain unit cube (``--norm ell_inf --periodic
+false``), where the covering bound argument also applies verbatim.  The
+ball layer (intersection volumes, indicator sums, the surrogate) knows one
+metric only: sup-norm balls on the flat torus, that is axis-aligned cubes
+whose distances wrap per coordinate, so volumes and pairwise intersection
+volumes are exact products and boundary effects vanish.  The empirical-rate
+experiment reports the surrogate on torus balls whatever its ground metric.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ class TransportError(ValueError):
 class TorusMetricConfig:
     """Ground metric on the unit cube, optionally with per-coordinate wrap.
 
-    ``norm`` is ``"ell_inf"`` (default; balls are cubes, everything exact)
-    or ``"ell_2"``.  When ``periodic``, coordinate differences are reduced to
+    ``norm`` is ``"ell_inf"`` (balls are cubes, everything exact) or
+    ``"ell_2"``.  When ``periodic``, coordinate differences are reduced to
     ``min(|u|, 1-|u|)`` before taking the norm.
     """
 
-    norm: str = "ell_inf"
-    periodic: bool = True
+    norm: str
+    periodic: bool
 
     def __post_init__(self):
         if self.norm not in ("ell_inf", "ell_2"):
@@ -415,8 +416,7 @@ def _column_generation(metric, X, Y, a, b, pairs, basic):
     raise OptimizationError("column generation did not certify optimality")
 
 
-def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
-             metric: TorusMetricConfig = TORUS_LINF) -> float:
+def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, metric: TorusMetricConfig) -> float:
     """Optimal transport cost between two discrete measures, solved exactly.
 
     The larger measure is solved coarse to fine.  From 1,024 atoms up (in at
@@ -476,7 +476,7 @@ def w1_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
 # ---------------------------------------------------------------------------
 
 
-def covering_lower_bound(n: int, d: int, metric: TorusMetricConfig = TORUS_LINF) -> float:
+def covering_lower_bound(n: int, d: int, metric: TorusMetricConfig) -> float:
     """Transport cost from the uniform cube measure to *any* n-point measure.
 
     Balls of radius ``eps n**(-1/d)`` around the n support points cover at
@@ -544,7 +544,7 @@ def default_gamma(d: int) -> float:
     the mean radius ``|x|`` over the unit ball, so the smoothed measure
     stays at least 3/4 of the covering bound away from the uniform measure.
     """
-    return 0.25 * covering_lower_bound(1, d) / (d / (d + 1.0))
+    return 0.25 * covering_lower_bound(1, d, TORUS_LINF) / (d / (d + 1.0))
 
 
 def smoothing_l2_surrogate(centers, epsilon: float) -> float:
@@ -601,9 +601,8 @@ class RateReport:
 
 
 def empirical_w1_rate(d: int, n_values: Sequence[int], trials: int,
-                      grid_resolution: int, seed: int = 0,
-                      metric: TorusMetricConfig = CUBE_LINF,
-                      threads: int = 1) -> RateReport:
+                      grid_resolution: int, seed: int, metric: TorusMetricConfig,
+                      threads: int) -> RateReport:
     """Mean exact W1 between the grid-uniform measure and iid empirical
     measures, with a log-log rate fit.
 

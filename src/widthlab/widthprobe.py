@@ -105,8 +105,8 @@ def _quadrature_points(quadrature, d: int, seed: int) -> np.ndarray:
     return midpoint_grid(d, size)
 
 
-def l2_error(net: TwoLayerNetwork, target: TargetFunction,
-             quadrature=("mc", 4096), seed: int = 0) -> Tuple[float, float]:
+def l2_error(net: TwoLayerNetwork, target: TargetFunction, quadrature,
+             seed: int) -> Tuple[float, float]:
     """Estimate of ``int (f - phi)^2`` over the cube, with standard error.
 
     Monte-Carlo quadrature reports the standard error of the mean; the
@@ -141,10 +141,10 @@ def l2_error(net: TwoLayerNetwork, target: TargetFunction,
 
 @dataclass(frozen=True)
 class FitConfig:
-    steps: int = 600
-    restarts: int = 6
-    quadrature: tuple = ("mc", 2048)
-    polish_iters: int = 300  # quasi-Newton sharpening of the best restart
+    steps: int
+    restarts: int
+    quadrature: tuple
+    polish_iters: int  # quasi-Newton sharpening of every restart's best iterate
 
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
@@ -395,23 +395,21 @@ def _fit_restarts(target, t, width, config, X, y, seed) -> list:
     return winners
 
 
-def fit_constrained(target: TargetFunction, t: float, width: int = 64,
-                    config: Optional[FitConfig] = None, seed: int = 0,
-                    quad_seed: Optional[int] = None,
-                    init_net: Optional[TwoLayerNetwork] = None) -> FitResult:
+def fit_constrained(target: TargetFunction, t: float, width: int, config: FitConfig,
+                    seed: int, quad_seed: int,
+                    init_net: Optional[TwoLayerNetwork]) -> FitResult:
     """Best-of-multi-start constrained fit; returns an upper bound on the
     true minimal L2 error at budget t.
 
-    ``init_net`` (projected onto the budget) joins the candidate pool, which
-    makes warm-started sweeps monotone by construction.  ``quad_seed``
-    selects the quadrature point set; sweeps over t share it.
+    ``init_net``, unless None, is projected onto the budget and joins the
+    candidate pool, which makes warm-started sweeps monotone by
+    construction.  ``quad_seed`` selects the quadrature point set; sweeps
+    over t share it.
     """
     if width < 1:
         raise TargetError("width must be >= 1")
     if not math.isfinite(t) or t < 0:
         raise TargetError(f"budget t must be finite and nonnegative, got {t}")
-    config = config or FitConfig()
-    quad_seed = seed if quad_seed is None else quad_seed
     X = _quadrature_points(config.quadrature, target.d, quad_seed)
     y = np.asarray(target.fn(X), dtype=float)
 
@@ -453,28 +451,26 @@ class WidthCurve:
     meta: dict
 
 
-def rho_curve(target: TargetFunction, t_grid: Sequence[float], width: int = 64,
-              config: Optional[FitConfig] = None, seed: int = 0) -> WidthCurve:
+def rho_curve(target: TargetFunction, t_grid: Sequence[float], width: int,
+              config: FitConfig, seed: int) -> WidthCurve:
     """Upper-bound curve of best errors over an increasing budget grid.
 
-    One quadrature set is shared across the grid, and each budget is warm
-    started from the previous solution, so the curve is nonincreasing by
-    construction.  The tail decay exponent is fitted on the upper half of
-    the grid (positive errors only).
+    One quadrature set, drawn from ``seed``, is shared across the grid, and
+    each budget is warm started from the previous solution, so the curve is
+    nonincreasing by construction.  The tail decay exponent is fitted on
+    the upper half of the grid (positive errors only).
     """
     t_grid = list(t_grid)
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise TargetError("t_grid must be strictly increasing")
-    config = config or FitConfig()
-    quad_seed = seed
     points: List[CurvePoint] = []
     prev: Optional[TwoLayerNetwork] = None
     for i, t in enumerate(t_grid):
         res = fit_constrained(target, t, width, config, seed=seed + 1000 * i,
-                              quad_seed=quad_seed, init_net=prev)
+                              quad_seed=seed, init_net=prev)
         prev = res.net
         # standard error of the squared-error estimate, propagated to the norm
-        _, se_sq = l2_error(res.net, target, config.quadrature, seed=quad_seed)
+        _, se_sq = l2_error(res.net, target, config.quadrature, seed=seed)
         se = se_sq / (2 * res.error) if res.error > 0 else 0.0
         points.append(CurvePoint(t=float(t), error=res.error, error_se=se))
     errs = np.array([p.error for p in points])

@@ -37,7 +37,7 @@ def test_criterion_01_spectrum_formulas():
     t0 = time.time()
     mult_ok = all(kernels.multiplicity(d, 1) == d + 1 for d in range(1, 11))
     ev = kernels.exact_eigenvalue(2, 2)
-    oracle = kernels.funk_hecke_eigenvalue(2, 2)
+    oracle = kernels.funk_hecke_eigenvalue(2, 2, 200)
     agree = abs(ev - oracle) <= 1e-6 * abs(ev)
     elapsed = time.time() - t0
     ok = mult_ok and agree and elapsed < 1.0
@@ -84,7 +84,7 @@ def test_criterion_02_spectral_decay():
     # positive plateau values decrease with the degree, so the cumulative
     # positive multiplicity is the plateau's last index in the sorted sequence
     counts, vals, cum = [], [], 0
-    for entry in kernels.exact_spectrum(d, 120).degrees:
+    for entry in kernels.exact_spectrum(d, 120, 200).degrees:
         if entry.value > 0:
             cum += entry.mult
             if entry.k >= 40:
@@ -117,7 +117,7 @@ def test_criterion_03_nystrom_consistency():
     d, n, seeds = 2, 2000, 5
     tops = np.mean([kernels.nystrom_spectrum(d, n=n, seed=s)[:12]
                     for s in range(seeds)], axis=0)
-    lam1 = kernels.funk_hecke_eigenvalue(d, 1)      # below the closed form's range
+    lam1 = kernels.funk_hecke_eigenvalue(d, 1, 200)  # below the closed form's range
     lam2 = kernels.exact_eigenvalue(d, 2)
 
     p1, p2 = tops[1:4], tops[4:9]
@@ -219,7 +219,7 @@ def test_criterion_06_transport_rates():
     t0 = time.time()
     report_obj = transport.empirical_w1_rate(
         d=2, n_values=[4, 8, 16, 32, 64, 128, 256], trials=20,
-        grid_resolution=64, seed=20240801, metric=transport.CUBE_LINF)
+        grid_resolution=64, seed=20240801, metric=transport.CUBE_LINF, threads=1)
     elapsed = time.time() - t0
     bounds_ok = report_obj.all_bounds_hold
     slope_ok = abs(report_obj.slope - (-0.5)) <= 0.1
@@ -346,8 +346,8 @@ def test_criterion_10_width_probe():
                 net_rng.uniform(-0.5, 0.5, 3), barron.RELU, averaged=True)
             target = widthprobe.TargetFunction.barron_explicit(net)
             s = barron.path_norm(net)
-            res = widthprobe.fit_constrained(target, t=2.0 * s, width=48,
-                                             config=strong, seed=rep)
+            res = widthprobe.fit_constrained(target, t=2.0 * s, width=48, config=strong,
+                                             seed=rep, quad_seed=rep, init_net=None)
             recover_ok &= res.error <= 1e-3
 
     # (b') one-sided consistency with a certified decay exponent: for d=8

@@ -57,7 +57,8 @@ class TestSeparationCommand:
                   "--t", "3.7", "--out", str(tmp_path)])
         _, rows = read_csv(tmp_path / "results.csv")
         from widthlab.separation import SeparationParams, width_bound
-        expect = width_bound(SeparationParams(alpha=0.5, beta=0.125)).evaluate(3.7).value
+        expect = width_bound(SeparationParams(alpha=0.5, beta=0.125, c_fast=1.0, c_slow=1.0),
+                             1.0).evaluate(3.7).value
         assert float(rows[0]["bound"]) == expect  # 17 digits: bit-exact roundtrip
 
 
@@ -302,6 +303,19 @@ class TestSubcommandSmoke:
         assert "Traceback" not in err
         assert err.startswith("invalid configuration: Unable to allocate 745. GiB")
         assert not (tmp_path / "results.csv").exists()
+
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
+        """An --out that cannot be made, here one under a regular file, is an
+        invalid configuration: exit 2 with a message, not a traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = cli.main(["separation", "--alpha", "1", "--beta", "0.25", "--t", "1,2",
+                       "--out", str(blocker / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("invalid configuration: ")
+        assert str(blocker) in err
 
 
 # Valid values for the required flags of each (subcommand, choice), the

@@ -107,7 +107,7 @@ def test_every_function_is_read_in_src():
 #: Settable values in ``src/widthlab``: parameters with a default plus
 #: dataclass fields with a default.  A change that adds a knob raises this
 #: pin in plain view; one that removes knobs lowers it.
-MAX_SETTABLE_VALUES = 44
+MAX_SETTABLE_VALUES = 9
 
 
 def _is_dataclass(node):

@@ -97,7 +97,7 @@ class TestClosedFormEigenvalue:
                 ratio = (k - 1) / (k + d + 2)
                 assert exact_eigenvalue(d, k + 2) / exact_eigenvalue(d, k) == \
                     pytest.approx(ratio, rel=1e-12)
-                assert funk_hecke_eigenvalue(d, k + 2) / funk_hecke_eigenvalue(d, k) == \
+                assert funk_hecke_eigenvalue(d, k + 2, 200) / funk_hecke_eigenvalue(d, k, 200) == \
                     pytest.approx(-ratio, rel=1e-9)
 
 
@@ -105,18 +105,18 @@ class TestFunkHeckeOracle:
     @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
     @pytest.mark.parametrize("k", [2, 4, 6, 10, 40])
     def test_matches_closed_form_magnitude_at_even_degrees(self, d, k):
-        oracle = funk_hecke_eigenvalue(d, k)
+        oracle = funk_hecke_eigenvalue(d, k, 200)
         assert abs(oracle) == pytest.approx(exact_eigenvalue(d, k), rel=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     @pytest.mark.parametrize("k", [3, 5, 9, 21])
     def test_vanishes_at_odd_degrees(self, d, k):
-        assert abs(funk_hecke_eigenvalue(d, k)) < 1e-12
+        assert abs(funk_hecke_eigenvalue(d, k, 200)) < 1e-12
 
     def test_degree_zero_and_one_available(self):
         # direct integrals: (1/(2pi)) * 1/2 and (1/(2pi)) * 1/3 on S^2
-        assert funk_hecke_eigenvalue(2, 0) == pytest.approx(1.0 / (4 * pi), rel=1e-10)
-        assert funk_hecke_eigenvalue(2, 1) == pytest.approx(1.0 / (6 * pi), rel=1e-10)
+        assert funk_hecke_eigenvalue(2, 0, 200) == pytest.approx(1.0 / (4 * pi), rel=1e-10)
+        assert funk_hecke_eigenvalue(2, 1, 200) == pytest.approx(1.0 / (6 * pi), rel=1e-10)
 
     def test_constant_kernel_profile_orthogonality(self):
         """A constant zonal kernel has eigenvalue c at degree 0 and 0 above."""
@@ -134,7 +134,7 @@ class TestFunkHeckeOracle:
         prof = lambda t: np.array([arccos_kernel(math.acos(min(1.0, max(-1.0, v))))
                                    for v in np.atleast_1d(t)])
         got = kernel_profile_eigenvalue(d, k, prof)
-        first_order = funk_hecke_eigenvalue(d, k) / zonal_relu_scale(d)
+        first_order = funk_hecke_eigenvalue(d, k, 200) / zonal_relu_scale(d)
         assert got == pytest.approx(2 * (d + 1) * first_order**2, rel=1e-6, abs=1e-12)
 
     def test_each_jacobi_rule_is_built_once(self, monkeypatch):
@@ -149,9 +149,9 @@ class TestFunkHeckeOracle:
 
         monkeypatch.setattr(special, "roots_jacobi", counting)
         kernels._jacobi_rule.cache_clear()
-        exact_spectrum(6, 40)
+        exact_spectrum(6, 40, 200)
         assert len(calls) == 2
-        exact_spectrum(6, 40)
+        exact_spectrum(6, 40, 200)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("npts", [64, 200])
@@ -323,8 +323,8 @@ class TestNtkSandwich:
 class TestNystrom:
     def test_sphere_plateaus_match_tables(self):
         ev = nystrom_spectrum(2, n=700, seed=1)
-        lam0 = funk_hecke_eigenvalue(2, 0)
-        lam1 = funk_hecke_eigenvalue(2, 1)
+        lam0 = funk_hecke_eigenvalue(2, 0, 200)
+        lam1 = funk_hecke_eigenvalue(2, 1, 200)
         lam2 = exact_eigenvalue(2, 2)
         assert ev[0] == pytest.approx(lam0, rel=0.1)
         assert np.mean(ev[1:4]) == pytest.approx(lam1, rel=0.1)
@@ -333,19 +333,19 @@ class TestNystrom:
     def test_sphere_plateaus_second_dimension(self):
         """Same plateau agreement in another dimension (d=3: widths 1, 5, 9)."""
         ev = nystrom_spectrum(3, n=900, seed=2)
-        lam1 = funk_hecke_eigenvalue(3, 1)
+        lam1 = funk_hecke_eigenvalue(3, 1, 200)
         lam2 = exact_eigenvalue(3, 2)
         assert np.mean(ev[1:5]) == pytest.approx(lam1, rel=0.1)     # mult 4
         assert np.mean(ev[5:14]) == pytest.approx(lam2, rel=0.15)   # mult 9
 
     def test_point_budget(self):
         with pytest.raises(KernelError):
-            nystrom_spectrum(2, n=5001)
+            nystrom_spectrum(2, n=5001, seed=0)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_below_one(self, d):
         with pytest.raises(KernelError, match="d must be"):
-            nystrom_spectrum(d, n=10)
+            nystrom_spectrum(d, n=10, seed=0)
 
 
 def traced_peak_bytes(fn):
@@ -407,15 +407,15 @@ class TestInPlaceNystrom:
         vectors: a copy of the Gram anywhere, scipy's wrapper included, adds
         n^2 doubles."""
         d, n = 3, 1000
-        nystrom_spectrum(d, n=8)
-        peak = traced_peak_bytes(lambda: nystrom_spectrum(d, n=n))
+        nystrom_spectrum(d, n=8, seed=0)
+        peak = traced_peak_bytes(lambda: nystrom_spectrum(d, n=n, seed=0))
         held = DOUBLE * (n * n + 3 * n * (d + 1) + n)
         assert peak <= held + syevd_values_only_bytes(n) + SLACK
 
 
 class TestSpectrumAssembly:
     def test_flags_and_signs_on_s2(self):
-        spec = exact_spectrum(2, 8)
+        spec = exact_spectrum(2, 8, 200)
         vals = {e.k: e.value for e in spec.degrees}
         assert vals[0] == pytest.approx(1 / (4 * pi), rel=1e-9)
         assert vals[1] == pytest.approx(1 / (6 * pi), rel=1e-9)
@@ -432,8 +432,8 @@ class TestSpectrumAssembly:
         assert [k for k, f in spec.flags.items() if f["reason"] == "sign"] == [4, 8]
 
     def test_flattened_sequence_structure(self):
-        spec = exact_spectrum(2, 6)
-        mu = spec.mu()
+        spec = exact_spectrum(2, 6, 200)
+        mu = spec.mu(sum(e.mult for e in spec.degrees))
         assert np.all(np.diff(mu) <= 1e-15)
         assert mu[0] == pytest.approx(1 / (4 * pi), rel=1e-9)
         np.testing.assert_allclose(mu[1:4], 1 / (6 * pi), rtol=1e-9)
@@ -442,10 +442,9 @@ class TestSpectrumAssembly:
     def test_leading_entries_match_full_sort(self):
         """``mu(count)`` is the head of the fully materialised, sorted
         sequence, which stays here as the reference."""
-        spec = exact_spectrum(6, 30)
+        spec = exact_spectrum(6, 30, 200)
         full = np.sort(np.concatenate([np.full(e.mult, e.value)
                                        for e in spec.degrees]))[::-1]
-        np.testing.assert_array_equal(spec.mu(), full)
         for count in (0, 1, 7, 10_000, full.size - 1, full.size, full.size + 5):
             np.testing.assert_array_equal(spec.mu(count), full[:count])
 
@@ -453,7 +452,7 @@ class TestSpectrumAssembly:
         """Signed eigenvalue totals reproduce the operator's diagonal value
         (the mean diagonal of the discretized Gram / n equals the kernel's
         value at zero angle, here the zonal scale itself)."""
-        spec = exact_spectrum(2, 40)
+        spec = exact_spectrum(2, 40, 200)
         assert spec.trace_sum() == pytest.approx(zonal_relu_scale(2), abs=1e-3)
 
     def test_flattened_decay_exponent_d6(self):
@@ -467,7 +466,7 @@ class TestSpectrumAssembly:
         0.035 of the target.
         """
         counts, vals, cum = [], [], 0
-        for entry in exact_spectrum(6, 120).degrees:
+        for entry in exact_spectrum(6, 120, 200).degrees:
             if entry.value > 0:
                 cum += entry.mult
                 if entry.k >= 40:

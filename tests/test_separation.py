@@ -50,24 +50,28 @@ class TestWidthLowerBound:
     def test_unit_constants_value(self):
         # all constants 1, alpha=1, beta=1/2, t=1:
         # 2**(-1/2) * (1/2)**2 = 2**(-5/2), frozen from hand evaluation
-        params = SeparationParams(alpha=1.0, beta=0.5)
-        out = width_bound(params).evaluate(1.0)
+        params = SeparationParams(alpha=1.0, beta=0.5, c_fast=1.0, c_slow=1.0)
+        out = width_bound(params, 1.0).evaluate(1.0)
         assert not out.below_threshold
         assert out.value == pytest.approx(2.0**-2.5, rel=1e-15)
         assert out.value == pytest.approx(0.17677669529663687, rel=1e-12)
 
     def test_below_threshold_flagged_zero(self):
-        params = SeparationParams(alpha=1.0, beta=0.5)  # threshold = 1/2
-        out = width_bound(params).evaluate(0.49)
+        params = SeparationParams(alpha=1.0, beta=0.5, c_fast=1.0, c_slow=1.0)  # threshold = 1/2
+        out = width_bound(params, 1.0).evaluate(0.49)
         assert out.below_threshold and out.value == 0.0
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
-            width_bound(SeparationParams(alpha=0.3, beta=0.5)).evaluate(1.0)
+            width_bound(SeparationParams(alpha=0.3, beta=0.5, c_fast=1.0, c_slow=1.0),
+                        1.0).evaluate(1.0)
         with pytest.raises(ParameterError):
-            SeparationParams(alpha=1.0, beta=0.5, c_fast=0.0)
+            SeparationParams(alpha=1.0, beta=0.5, c_fast=0.0, c_slow=1.0)
         with pytest.raises(ParameterError):
-            width_bound(SeparationParams(alpha=1.0, beta=0.5)).evaluate(0.0)
+            width_bound(SeparationParams(alpha=1.0, beta=0.5, c_fast=1.0, c_slow=1.0),
+                        1.0).evaluate(0.0)
+        with pytest.raises(ParameterError, match="c_ambient"):
+            width_bound(SeparationParams(alpha=1.0, beta=0.5, c_fast=1.0, c_slow=1.0), 0.0)
 
     def test_log_affine_with_exact_slope(self):
         """log bound is affine in log t with slope exactly -beta/(alpha-beta)."""
@@ -78,9 +82,8 @@ class TestWidthLowerBound:
             params = SeparationParams(
                 alpha=alpha, beta=beta,
                 c_fast=rng.uniform(0.1, 5), c_slow=rng.uniform(0.1, 5),
-                c_ambient=rng.uniform(0.1, 5),
             )
-            wb = width_bound(params)
+            wb = width_bound(params, rng.uniform(0.1, 5))
             t1 = wb.threshold_t * rng.uniform(1.0, 10.0)
             t2 = t1 * rng.uniform(1.5, 20.0)
             v1, v2 = wb.evaluate(t1).value, wb.evaluate(t2).value
@@ -89,8 +92,8 @@ class TestWidthLowerBound:
 
     def test_nonincreasing_in_t(self):
         rng = np.random.default_rng(11)
-        params = SeparationParams(alpha=0.8, beta=0.3, c_fast=2.0, c_slow=1.5, c_ambient=0.7)
-        wb = width_bound(params)
+        params = SeparationParams(alpha=0.8, beta=0.3, c_fast=2.0, c_slow=1.5)
+        wb = width_bound(params, 0.7)
         ts = np.sort(rng.uniform(wb.threshold_t, 50.0, size=200))
         vals = [wb.evaluate(t).value for t in ts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -102,10 +105,9 @@ class TestWidthLowerBound:
             beta = rng.uniform(0.1, 0.6)
             alpha = beta + rng.uniform(0.1, 1.0)
             s = rng.uniform(0.2, 8.0)
-            base = SeparationParams(alpha=alpha, beta=beta, c_fast=1.3, c_slow=0.9, c_ambient=2.1)
-            scaled = SeparationParams(alpha=alpha, beta=beta, c_fast=1.3,
-                                      c_slow=0.9 * s, c_ambient=2.1)
-            wb0, wb1 = width_bound(base), width_bound(scaled)
+            base = SeparationParams(alpha=alpha, beta=beta, c_fast=1.3, c_slow=0.9)
+            scaled = SeparationParams(alpha=alpha, beta=beta, c_fast=1.3, c_slow=0.9 * s)
+            wb0, wb1 = width_bound(base, 2.1), width_bound(scaled, 2.1)
             assert wb1.prefactor == pytest.approx(
                 wb0.prefactor * s ** (alpha / (alpha - beta)), rel=1e-12)
             assert wb1.threshold_t == pytest.approx(wb0.threshold_t * s, rel=1e-12)
@@ -150,7 +152,7 @@ class TestExactInstance:
 
     def test_bound_holds_from_threshold_to_a_million_times_it(self):
         for args in self.INSTANCES:
-            wb = width_bound(SeparationParams(*args))
+            wb = width_bound(SeparationParams(*args[:4]), args[4])
             ts = wb.threshold_t * np.logspace(0.0, 6.0, 200)
             rho = self.rho(ts, *args)
             assert np.all(np.array([wb.evaluate(t).value for t in ts]) <= rho), args
@@ -173,7 +175,7 @@ class TestExactInstance:
         eps = np.finfo(float).eps
         for args in self.INSTANCES:
             alpha, beta = args[:2]
-            wb = width_bound(SeparationParams(*args))
+            wb = width_bound(SeparationParams(*args[:4]), args[4])
             t = 1e6 * wb.threshold_t
             slope = math.log(self.rho(2 * t, *args) / self.rho(t, *args)) / math.log(2.0)
             nstar = self.n_star(t, *args)
@@ -187,7 +189,8 @@ class TestExactInstance:
 
 class TestSchedule:
     def test_log2_n_is_k_to_the_k(self):
-        sched = build_schedule(SeparationParams(alpha=1.0, beta=0.25), k_max=3)
+        sched = build_schedule(SeparationParams(alpha=1.0, beta=0.25, c_fast=1.0, c_slow=1.0),
+                               k_max=3)
         assert [e.log2_n for e in sched] == [1, 4, 27]
 
     def test_first_scale_is_threshold(self):
@@ -196,14 +199,14 @@ class TestSchedule:
         assert sched[0].log_t == pytest.approx(math.log(3.0 / 4.0), rel=1e-15)
 
     def test_log_m_formula(self):
-        params = SeparationParams(alpha=1.0, beta=0.25)
+        params = SeparationParams(alpha=1.0, beta=0.25, c_fast=1.0, c_slow=1.0)
         sched = build_schedule(params, k_max=4)
         gap = 0.75
         for e in sched:
             assert e.log_m == pytest.approx((e.k / gap) * e.log2_n * math.log(2.0), rel=1e-14)
 
     def test_effective_exponent_decreases_to_limit(self):
-        params = SeparationParams(alpha=1.0, beta=0.25)
+        params = SeparationParams(alpha=1.0, beta=0.25, c_fast=1.0, c_slow=1.0)
         sched = build_schedule(params, k_max=10)
         effs = [e.effective_exponent for e in sched]
         assert effs[0] == math.inf
@@ -214,20 +217,21 @@ class TestSchedule:
         assert finite[-1] == pytest.approx(limit + 1.0 / (9 * 0.75), rel=1e-12)
 
     def test_m_rounded_reported_when_small(self):
-        sched = build_schedule(SeparationParams(alpha=1.0, beta=0.25), k_max=2)
+        sched = build_schedule(SeparationParams(alpha=1.0, beta=0.25, c_fast=1.0, c_slow=1.0),
+                               k_max=2)
         # m_1 = 2**(1/0.75) ~ 2.52, m_2 = 16**(2/0.75) ~ 1625498.6
         assert sched[0].m_rounded == 3
         assert sched[1].m_rounded == round(16 ** (2 / 0.75))
 
     def test_schedule_rejects_beta_at_or_above_half_alpha(self):
         with pytest.raises(ScheduleError, match="boundary"):
-            build_schedule(SeparationParams(alpha=1.0, beta=0.5), k_max=3)
+            build_schedule(SeparationParams(alpha=1.0, beta=0.5, c_fast=1.0, c_slow=1.0), k_max=3)
         with pytest.raises(ScheduleError):
-            build_schedule(SeparationParams(alpha=1.0, beta=0.6), k_max=3)
+            build_schedule(SeparationParams(alpha=1.0, beta=0.6, c_fast=1.0, c_slow=1.0), k_max=3)
 
     def test_k_max_cap(self):
         with pytest.raises(ScheduleError):
-            build_schedule(SeparationParams(alpha=1.0, beta=0.25), k_max=13)
+            build_schedule(SeparationParams(alpha=1.0, beta=0.25, c_fast=1.0, c_slow=1.0), k_max=13)
 
 
 class TestTailSum:

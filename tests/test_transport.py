@@ -56,7 +56,7 @@ class TestW1Exact:
 
     def test_identity_is_zero(self):
         mu = random_measure(np.random.default_rng(1), 20, 2)
-        assert w1_exact(mu, mu) == pytest.approx(0.0, abs=1e-12)
+        assert w1_exact(mu, mu, TORUS_LINF) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_hand_case(self):
         # uniform on {0, 1/2} vs uniform on {1/4, 3/4}, plain line:
@@ -71,11 +71,11 @@ class TestW1Exact:
             mu = random_measure(rng, rng.integers(2, 12), 2)
             nu = random_measure(rng, rng.integers(2, 12), 2)
             rho = random_measure(rng, rng.integers(2, 12), 2)
-            ab = w1_exact(mu, nu)
-            ba = w1_exact(nu, mu)
+            ab = w1_exact(mu, nu, TORUS_LINF)
+            ba = w1_exact(nu, mu, TORUS_LINF)
             assert ab == pytest.approx(ba, abs=1e-9)
-            ac = w1_exact(mu, rho)
-            cb = w1_exact(rho, nu)
+            ac = w1_exact(mu, rho, TORUS_LINF)
+            cb = w1_exact(rho, nu, TORUS_LINF)
             assert ab <= ac + cb + 1e-9
 
     def test_torus_translation_invariance(self):
@@ -234,7 +234,7 @@ class TestW1Exact:
 
         rng = np.random.default_rng(10)
         mu, nu = random_measure(rng, 6, 2), random_measure(rng, 5, 2)
-        expect = w1_exact(mu, nu)
+        expect = w1_exact(mu, nu, TORUS_LINF)
         costs = []
         linprog = transport.linprog
 
@@ -249,7 +249,7 @@ class TestW1Exact:
                                    eqlin=SimpleNamespace(marginals=marginals))
 
         monkeypatch.setattr(transport, "linprog", lifted_once)
-        assert w1_exact(mu, nu) == expect
+        assert w1_exact(mu, nu, TORUS_LINF) == expect
         assert len(costs) == 2
         np.testing.assert_array_equal(costs[1], costs[0] * 2.0**10)
 
@@ -482,7 +482,7 @@ class TestW1Exact:
     def test_dimension_mismatch(self):
         with pytest.raises(TransportError):
             w1_exact(DiscreteMeasure(np.atleast_2d([0.5]), [1.0]),
-                     DiscreteMeasure(np.atleast_2d([0.5, 0.5]), [1.0]))
+                     DiscreteMeasure(np.atleast_2d([0.5, 0.5]), [1.0]), TORUS_LINF)
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(TransportError):
@@ -634,8 +634,8 @@ class TestCoveringBound:
         assert w1 >= covering_lower_bound(1, 1, CUBE_LINF)
 
     def test_power_law_scaling(self):
-        assert covering_lower_bound(8 * 13, 3) / covering_lower_bound(13, 3) == pytest.approx(
-            0.5, rel=1e-12)
+        assert covering_lower_bound(8 * 13, 3, TORUS_LINF) / covering_lower_bound(
+            13, 3, TORUS_LINF) == pytest.approx(0.5, rel=1e-12)
 
     def test_holds_on_adversarial_grid_configuration(self):
         """Even a perfectly spread (grid) empirical measure obeys the bound."""
@@ -732,22 +732,22 @@ class TestSmoothingSurrogate:
 
     def test_default_gamma_keeps_bracket_positive(self):
         for d in (1, 2, 3, 5, 8):
-            cov = covering_lower_bound(1, d) / 1.0  # n-free covering constant
+            cov = covering_lower_bound(1, d, TORUS_LINF) / 1.0  # n-free covering constant
             assert default_gamma(d) * (d / (d + 1.0)) < cov
 
 
 class TestRateExperiment:
     def test_small_rate_report(self):
         report = empirical_w1_rate(d=1, n_values=[4, 8, 16, 32], trials=4,
-                                   grid_resolution=64, seed=5)
+                                   grid_resolution=64, seed=5, metric=CUBE_LINF, threads=1)
         assert report.all_bounds_hold
         # one dimension: CLT-rate decay around -1/2, still above the n**-1 bound
         assert -0.75 <= report.slope <= -0.25
         assert set(report.mean_w1) == {4, 8, 16, 32}
 
     def test_threads_do_not_change_results(self):
-        a = empirical_w1_rate(1, [4, 8], 2, 32, seed=6, threads=1)
-        b = empirical_w1_rate(1, [4, 8], 2, 32, seed=6, threads=4)
+        a = empirical_w1_rate(1, [4, 8], 2, 32, seed=6, metric=CUBE_LINF, threads=1)
+        b = empirical_w1_rate(1, [4, 8], 2, 32, seed=6, metric=CUBE_LINF, threads=4)
         assert [t.w1 for t in a.trials] == [t.w1 for t in b.trials]
 
     def test_grid_budget_enforced(self):

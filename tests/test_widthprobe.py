@@ -30,6 +30,8 @@ from oracles import (
 )
 
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
+#: the width subcommand's fit budget (``cli``'s flag defaults and its polish)
+CLI_FIT = {"steps": 600, "restarts": 6, "quadrature": ("mc", 2048), "polish_iters": 300}
 
 
 def make_target_net(rng, d, width=3):
@@ -170,7 +172,8 @@ class TestReluLoss:
 class TestFitConstrained:
     def test_zero_budget_returns_zero_network(self):
         target = TargetFunction.custom(lambda X: np.abs(X[:, 0] - 0.5), 1)
-        res = fit_constrained(target, t=0.0, width=8, config=FAST, seed=0)
+        res = fit_constrained(target, t=0.0, width=8, config=FAST,
+                              seed=0, quad_seed=0, init_net=None)
         assert path_norm(res.net) == 0.0
         # error equals the target's L2 norm on the quadrature set
         val, _ = l2_error(res.net, target, FAST.quadrature, seed=0)
@@ -180,7 +183,8 @@ class TestFitConstrained:
         rng = np.random.default_rng(8)
         target = TargetFunction.distance_to_point_set(rng.random((2, 2)))
         for t in (0.1, 0.7, 2.3):
-            res = fit_constrained(target, t=t, width=12, config=FAST, seed=1)
+            res = fit_constrained(target, t=t, width=12, config=FAST,
+                                  seed=1, quad_seed=1, init_net=None)
             assert path_norm(res.net) <= t * (1 + 1e-9)
 
     def test_representable_target_recovered(self):
@@ -188,7 +192,8 @@ class TestFitConstrained:
         net = make_target_net(rng, 1)
         target = TargetFunction.barron_explicit(net)
         cfg = FitConfig(steps=400, restarts=3, quadrature=("mc", 2048), polish_iters=300)
-        res = fit_constrained(target, t=2 * path_norm(net), width=24, config=cfg, seed=2)
+        res = fit_constrained(target, t=2 * path_norm(net), width=24, config=cfg,
+                              seed=2, quad_seed=2, init_net=None)
         assert res.error <= 1e-3
 
     def test_absolute_distance_two_neuron_budget(self):
@@ -196,30 +201,31 @@ class TestFitConstrained:
         beyond 3 drive the error to optimizer precision."""
         target = TargetFunction.custom(lambda X: np.abs(X[:, 0] - 0.5), 1)
         cfg = FitConfig(steps=400, restarts=3, quadrature=("mc", 2048), polish_iters=300)
-        res = fit_constrained(target, t=3.0, width=24, config=cfg, seed=3)
+        res = fit_constrained(target, t=3.0, width=24, config=cfg,
+                              seed=3, quad_seed=3, init_net=None)
         assert res.error <= 1e-3
 
     @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"restarts": 0}, {"steps": -2}])
     def test_config_without_steps_or_restarts_rejected(self, kwargs):
         with pytest.raises(TargetError, match="steps and restarts"):
-            FitConfig(**kwargs)
+            FitConfig(**{**CLI_FIT, **kwargs})
 
     def test_negative_polish_iters_rejected(self):
         with pytest.raises(TargetError, match="polish_iters"):
-            FitConfig(polish_iters=-1)
+            FitConfig(**{**CLI_FIT, "polish_iters": -1})
 
     @pytest.mark.parametrize("kind", ["mc", "grid"])
     def test_empty_quadrature_rejected(self, kind):
         target = TargetFunction.custom(lambda X: X[:, 0], 2)
         cfg = dataclasses.replace(FAST, quadrature=(kind, 0))
         with pytest.raises(TargetError, match="quadrature size"):
-            fit_constrained(target, t=1.0, width=4, config=cfg, seed=0)
+            fit_constrained(target, t=1.0, width=4, config=cfg, seed=0, quad_seed=0, init_net=None)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     def test_non_finite_budget_rejected(self, t):
         target = TargetFunction.custom(lambda X: X[:, 0], 1)
         with pytest.raises(TargetError, match="finite"):
-            fit_constrained(target, t=t, width=4, config=FAST, seed=0)
+            fit_constrained(target, t=t, width=4, config=FAST, seed=0, quad_seed=0, init_net=None)
 
 
 class TestBatchedRestarts:
@@ -273,7 +279,8 @@ class TestBatchedRestarts:
     def test_single_restart(self):
         target = TargetFunction.distance_to_point_set(np.random.default_rng(13).random((2, 2)))
         cfg = FitConfig(steps=60, restarts=1, quadrature=("mc", 256), polish_iters=20)
-        res = fit_constrained(target, t=0.8, width=10, config=cfg, seed=3)
+        res = fit_constrained(target, t=0.8, width=10, config=cfg,
+                              seed=3, quad_seed=3, init_net=None)
         assert path_norm(res.net) <= 0.8 * (1 + 1e-9)
         assert res.net.width == 10 and 0.0 < res.error < 1.0
 
@@ -281,7 +288,8 @@ class TestBatchedRestarts:
     def test_nan_target_raises(self):
         target = TargetFunction.custom(lambda X: np.full(len(X), np.nan), 2)
         with pytest.raises(OptimizationError, match="every restart"):
-            fit_constrained(target, t=1.0, width=4, config=self.CFG, seed=0)
+            fit_constrained(target, t=1.0, width=4, config=self.CFG,
+                            seed=0, quad_seed=0, init_net=None)
 
 
 class TestLockstepPolish:
@@ -327,6 +335,9 @@ class TestLockstepPolish:
         """Rows that converge early leave the sweep while the others go on
         to ``maxiter``."""
         kept, X, y = self._kept(4, 2, seed=3)
+        # the all-zero row's gradient is exactly 0, so it stops at its first
+        # check whichever BLAS kernels compute the other rows
+        kept = np.vstack([kept, np.zeros_like(kept[0])])
         polished, res = self._polish(kept, X, y, 90)
         want, nits, nfevs = lbfgs_polish(kept, self.WIDTH, X, y, 90)
         assert min(nits) < 90 == max(nits)
