@@ -4,16 +4,16 @@ Measures, for a given Lipschitz target phi on the unit cube, the curve
 
     t  ->  min over relu networks with path norm <= t of |f - phi|_L2
 
-via first-order optimization (so every reported value is an *upper* bound on
-the true minimum; conclusions drawn from these curves are one-sided).  The
-path-norm constraint is enforced by radial rescaling of the outer weights,
-which is exact for relu by positive homogeneity and leaves the network's
-direction unchanged.  A single quadrature point set is shared across the
-whole budget grid so that curve monotonicity is not polluted by quadrature
-noise, and each fit is seeded with the previous budget's solution, so the
-reported curve is nonincreasing by construction.  A fit's restarts are one
-array, a row each: Adam steps them together, their L-BFGS-B polish runs in
-lockstep (:func:`minimize`) and their candidates are scored as one stack.
+by optimization on a quadrature point set, so every reported value is an
+*upper* bound on the in-sample minimum at the fitted points (conclusions
+drawn from these curves are one-sided).  Radial rescaling of the outer
+weights, exact for relu by positive homogeneity, keeps each iterate in the
+budget, and each candidate's outer layer is then refit exactly under it.
+One point set serves the whole budget grid and each fit is seeded with the
+previous budget's solution, so the reported curve is nonincreasing by
+construction.  A fit's restarts are one array, a row each: Adam steps them
+together, their L-BFGS-B polish runs in lockstep (:func:`minimize`) and
+their candidates are scored as one stack.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import OptimizeResult, _lbfgsb
 
 from .barron import RELU, OptimizationError, TwoLayerNetwork, path_norm
@@ -168,31 +169,29 @@ def _path_norms(P, m):
     return np.sum(np.abs(a) * costs, axis=-1) / m, costs
 
 
-def _relu_loss(P, m, X, y, grad=False):
-    """``(loss, act, grad)`` of ``f = relu(X W^T + b) a / m`` against y for
-    the networks stacked in P (:func:`_views`): the mean squared residual, the
-    hidden activations and, when ``grad`` is set, the gradient laid out as P
-    (relu' is 0 at 0), else None.  A stacked ``np.matmul`` does each network's
-    lone gemm, gemv or dot on its strided views, so each row matches a lone
-    call bitwise.  The in-place steps round as their out-of-place forms;
-    ``mask`` keeps the (n, m) layout, since its transpose changes the bits of
-    d/dW and d/db."""
+def _relu_loss(P, m, X1, y, grad=False):
+    """``(loss, act, grad)`` of ``f = a relu(W x + b) / m`` against y for the
+    networks stacked in P (:func:`_views`) at the points ``X1 = [X | 1]^T``
+    (d+1, n): the mean squared residual, the activations (..., m, n) and the
+    gradient laid out as P (relu' is 0 at 0) if ``grad``, else None.  Points
+    last, a network takes one gemm forward, ``relu([W | b] X1)``, and one
+    gemm and one gemv back, ``[dW | db] = a * (H (g * X1)^T)`` with H = act >
+    0 and g the residual's weight per point, and ``da = act g``; each row of
+    a stacked call matches a lone call bitwise."""
     a, W, b = _views(P, m)
-    n = X.shape[0]
-    pre = X @ np.swapaxes(W, -1, -2) + b[..., None, :]
-    act = np.maximum(pre, 0.0)
-    resid = (act @ a[..., None])[..., 0]
+    n = X1.shape[-1]
+    act = np.concatenate([W, b[..., None]], axis=-1) @ X1
+    np.maximum(act, 0.0, out=act)
+    resid = (a[..., None, :] @ act)[..., 0, :]
     resid /= m
     resid -= y
     loss = (resid[..., None, :] @ resid[..., None])[..., 0, 0] / n
     if not grad:
         return loss, act, None
-    g_common = 2.0 * resid / (n * m)
-    mask = g_common[..., None] * a[..., None, :]
-    mask *= pre > 0
-    gW = np.swapaxes(mask, -1, -2) @ X
-    return loss, act, np.concatenate([(np.swapaxes(act, -1, -2) @ g_common[..., None])[..., 0],
-                                      gW.reshape(*P.shape[:-1], -1), mask.sum(axis=-2)], axis=-1)
+    g = 2.0 * resid / (n * m)
+    dWb = ((act > 0).astype(float) @ (X1.T * g[..., :, None])) * a[..., None]
+    return loss, act, np.concatenate([(act @ g[..., None])[..., 0], dWb[..., :-1].reshape(
+        *P.shape[:-1], -1), dWb[..., -1]], axis=-1)
 
 
 def minimize(fg, x0, maxiter):
@@ -223,7 +222,7 @@ def minimize(fg, x0, maxiter):
               task[k], np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29), 20,
               np.zeros(2, np.int32))) for k in range(K)]
     unbounded, nbd = np.zeros(n), np.zeros(n, np.int32)
-    nit, nfev = [0] * K, [1] * K
+    nit, nfev = [0] * K, np.ones(K, int)
     running = list(range(K))
     while running:
         asks = []
@@ -247,10 +246,9 @@ def minimize(fg, x0, maxiter):
             x_at[asks] = x[asks]
             f_at[asks], g[asks] = fg(x_at[asks])
             g_at[asks] = g[asks]
-            for k in asks:
-                nfev[k] += 1
+            nfev[asks] += 1
         running = asks
-    return OptimizeResult(x=x, nit=sum(nit), nfev=sum(nfev))
+    return OptimizeResult(x=x, nit=sum(nit), nfev=int(nfev.sum()))
 
 
 @dataclass
@@ -282,54 +280,57 @@ def _init_network(width: int, d: int, t: float, rng) -> np.ndarray:
     return row
 
 
-def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of each row of v onto the l1 ball of the given
-    radius (> 0)."""
-    a = np.abs(v)
-    u = np.sort(a, axis=-1)[:, ::-1]
-    css = np.cumsum(u, axis=-1)
-    above = u * np.arange(1, u.shape[-1] + 1) > (css - radius)
-    rho = u.shape[-1] - 1 - np.argmax(above[:, ::-1], axis=-1)  # last True per row
-    theta = (css[np.arange(len(v)), rho] - radius) / (rho + 1.0)
-    inside = a.sum(axis=-1) <= radius
-    return np.where(inside[:, None], v, np.sign(v) * np.maximum(a - theta[:, None], 0.0))
+def _lasso_homotopy(A, u, R, tol):
+    """argmin of ``|A z - u|^2`` over ``|z|_1 <= R`` by the lasso homotopy
+    (Osborne, Presnell & Turlach 2000): the penalized path from z = 0, its
+    active correlations ``A^T (u - A z)`` at +-lam, event to event (a
+    coordinate joins or reaches 0) until the budget binds or lam is rounding.
+    Directions come from the QR factor of the active columns; a joiner within
+    ``tol`` of their span (dead, duplicate, affine) waits for one to leave."""
+    m, floor = A.shape[1], tol * np.abs(A.T @ u).max()   # lam below it is rounding
+    z, order, out = np.zeros(m), [], np.zeros(m, bool)
+    for _ in range(4 * m + 8):
+        r = A.T @ (u - A @ z)
+        order = order or [int(np.argmax(np.abs(r)))]
+        lam = np.abs(r[order]).max()
+        if not lam > floor:                  # NaN included
+            break
+        T = np.linalg.qr(A[:, order], mode="r")
+        if len(T) < len(order) or abs(T[-1, -1]) <= tol * np.abs(np.diag(T)).max():
+            out[order.pop()] = True          # the last joiner is dependent
+            continue
+        dz = cho_solve((T, False), np.sign(r[order]))
+        slope, zon = A.T @ (A[:, order] @ dz), z[order]
+        grow = np.where(zon != 0, np.sign(zon) * dz, np.abs(dz)).sum()   # of |z|_1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = np.minimum(np.where(slope < 1, (lam - r) / (1 - slope), np.inf),
+                              np.where(slope > -1, (lam + r) / (1 + slope), np.inf))
+            join[out] = join[order] = np.inf
+            steps = np.concatenate([
+                [lam, (R - np.abs(z).sum()) / grow if grow > 0 else np.inf],
+                np.maximum(join, 0), np.where(zon * dz < 0, -zon / dz, np.inf)])
+        k = int(np.argmin(steps))
+        z[order] += steps[k] * dz
+        if k < 2:                            # lam reached 0 or the budget binds
+            break
+        if k < 2 + m:                        # a coordinate joins
+            order.append(k - 2)
+        else:                                # an active coordinate reaches 0
+            z[order.pop(k - 2 - m)], out[:] = 0.0, False
+    return z * min(1.0, R / max(np.abs(z).sum(), 1e-300))
 
 
-def _refit_outer(act: np.ndarray, y: np.ndarray, costs: np.ndarray, m: int,
-                 t: float, a0: np.ndarray) -> np.ndarray:
-    """Convex refit of the outer weights with the path-norm budget, for K
-    stacked networks: ``act`` is (K, n, m), ``costs`` and ``a0`` are (K, m).
-    With inner weights frozen, minimizing the quadratic loss subject to
-    ``(1/m) sum c_i |a_i| <= t`` is least squares over a weighted l1 ball;
-    substituting ``z_i = c_i a_i`` turns the constraint into a plain l1 ball
-    and the problem is solved by 300 steps of accelerated projected gradient.
-    """
-    n = act.shape[1]
+def _refit_outer(act, y, costs, m, t):
+    """Exact refit of the outer weights under the budget t, for K stacked
+    networks (``act`` (K, m, n), ``costs`` (K, m)): with ``z_i = c_i a_i`` it
+    is ``|D^T z - y|^2 / n``, ``D_i = act_i / (c_i m)``, over ``|z|_1 <= t
+    m``, solved on the R factor of ``[D^T | y]`` with the float error of D's
+    n-term sums as the tolerance for rank and for lam."""
     keep = costs > 1e-12
-    D = np.divide(act, (costs * m)[:, None, :], out=np.zeros_like(act),
-                  where=keep[:, None, :])
-    DT = np.swapaxes(D, 1, 2)
-    norm = lambda v: np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])  # np.linalg.norm per row
-    # Lipschitz constant of the gradient via a few power iterations; a row
-    # that reaches the zero vector stays there
-    v = np.full(costs.shape, 1.0 / math.sqrt(m))
-    for _ in range(25):
-        v = (DT @ (D @ v[..., None]))[..., 0]
-        nv = norm(v)
-        v /= np.where(nv == 0, 1.0, nv)[:, None]
-    # 1.3 safety factor: the power estimate can undershoot the top singular
-    # value, and an overestimated step size would make the iteration diverge
-    L = 1.3 * 2.0 * np.maximum(norm((D @ v[..., None])[..., 0]) ** 2, 1e-12) / n
-    radius = t * m
-    z = _project_l1_ball(a0 * costs, radius)
-    zp = z.copy()
-    tk = 1.0
-    for _ in range(300):
-        w = z + ((tk - 1) / (tk + 1)) * (z - zp)
-        grad = 2.0 * (DT @ ((D @ w[..., None])[..., 0] - y)[..., None])[..., 0] / n
-        zp = z
-        z = _project_l1_ball(w - grad / L[:, None], radius)
-        tk += 1.0
+    D = np.divide(act, (costs * m)[..., None], out=np.zeros_like(act), where=keep[..., None])
+    tol = act.shape[-1] * np.finfo(float).eps
+    z = np.stack([_lasso_homotopy(T[:, :-1], T[:, -1], t * m, tol)
+                  for T in (np.linalg.qr(np.vstack([Dk, y]).T, mode="r") for Dk in D)])
     return np.divide(z, costs, out=np.zeros_like(z), where=keep)
 
 
@@ -340,6 +341,7 @@ def _fit_restarts(target, t, width, config, X, y, seed) -> list:
     ``spawn_rng(seed, r)`` and does the arithmetic of a lone fit.  Entry r is
     its best candidate and loss, or None when its loss turned non-finite and
     it was dropped."""
+    X1 = np.vstack([X.T, np.ones(len(X))])      # [X | 1]^T, built once per fit
     P = np.stack([_init_network(width, target.d, t, spawn_rng(seed, r))
                   for r in range(config.restarts)])
     M1, M2 = np.zeros_like(P), np.zeros_like(P)
@@ -348,7 +350,7 @@ def _fit_restarts(target, t, width, config, X, y, seed) -> list:
     best_loss = np.full(config.restarts, np.inf)
     best = P.copy()                         # indexed by restart
     for step in range(config.steps):
-        loss, _, G = _relu_loss(P, width, X, y, grad=True)
+        loss, _, G = _relu_loss(P, width, X1, y, grad=True)
         ok = np.isfinite(loss)
         if not ok.all():  # drop the restarts whose loss turned non-finite
             alive, loss, P, G, M1, M2 = (v[ok] for v in (alive, loss, P, G, M1, M2))
@@ -373,20 +375,17 @@ def _fit_restarts(target, t, width, config, X, y, seed) -> list:
     # lockstep) and the last iterate, each projected as project_path_norm
     # does (a NaN path norm included) and then refit, all 3R in one stack
     kept = best[alive]
-    fg = lambda V: _relu_loss(V, width, X, y, grad=True)[::2]
+    fg = lambda V: _relu_loss(V, width, X1, y, grad=True)[::2]
     polished = minimize(fg, kept, config.polish_iters).x if config.polish_iters else kept
     cands = np.stack([kept, polished, P], axis=1).reshape(3 * len(alive), -1)
     pn, costs = _path_norms(cands, width)
     scale = ~((pn <= t) | (pn == 0.0))
     cands[scale, :width] *= (t / pn[scale])[:, None]
-    loss, act, _ = _relu_loss(cands, width, X, y)
-    # convex polish: with these features frozen, the outer layer solves a
-    # budgeted least-squares problem exactly
-    refits = cands.copy()
-    refits[:, :width] = _refit_outer(act, y, costs, width, t, cands[:, :width])
+    loss, act, _ = _relu_loss(cands, width, X1, y)
+    refits = np.concatenate([_refit_outer(act, y, costs, width, t), cands[:, width:]], axis=1)
     # per restart: each candidate, then its refit
     pool = np.stack([cands, refits], axis=1).reshape(len(alive), 6, -1)
-    pool_loss = np.stack([loss, _relu_loss(refits, width, X, y)[0]], axis=1).reshape(-1, 6)
+    pool_loss = np.stack([loss, _relu_loss(refits, width, X1, y)[0]], axis=1).reshape(-1, 6)
     winners = [None] * config.restarts
     for row, r in enumerate(alive):
         k = min(range(6), key=pool_loss[row].__getitem__)
@@ -399,7 +398,7 @@ def fit_constrained(target: TargetFunction, t: float, width: int, config: FitCon
                     seed: int, quad_seed: int,
                     init_net: Optional[TwoLayerNetwork]) -> FitResult:
     """Best-of-multi-start constrained fit; returns an upper bound on the
-    true minimal L2 error at budget t.
+    in-sample minimal L2 error at budget t on the fitted points.
 
     ``init_net``, unless None, is projected onto the budget and joins the
     candidate pool, which makes warm-started sweeps monotone by
@@ -427,7 +426,8 @@ def fit_constrained(target: TargetFunction, t: float, width: int, config: FitCon
             raise OptimizationError("every restart produced non-finite losses")
         candidates += winners
     net, loss = min(candidates, key=lambda c: c[1])
-    assert path_norm(net) <= t * (1 + 1e-9) + 1e-12
+    if not path_norm(net) <= t * (1 + 1e-9) + 1e-12:
+        raise OptimizationError(f"the fit at budget t={t} left the path-norm ball")
     return FitResult(net=net, error=math.sqrt(max(loss, 0.0)))
 
 

@@ -134,22 +134,21 @@ def certificate_consistency(curve: WidthCurve, exponent: float) -> dict:
 
 def relu_loss_per_array(a, W, b, X, y, grad=False):
     """The relu loss on three arrays ``(a, W, b)``, each network's on a
-    leading axis: ``(loss, act, (d/da, d/dW, d/db))``, the form the fit's
-    kernel had before it read one parameter stack."""
+    leading axis: ``(loss, act, (d/da, d/dW, d/db))``, with the fit's
+    points-last arithmetic (``act`` is (..., m, n)) on the points ``X``."""
     m, n = a.shape[-1], X.shape[0]
-    pre = X @ np.swapaxes(W, -1, -2) + b[..., None, :]
-    act = np.maximum(pre, 0.0)
-    resid = (act @ a[..., None])[..., 0]
+    X1 = np.vstack([X.T, np.ones(n)])
+    act = np.concatenate([W, b[..., None]], axis=-1) @ X1
+    np.maximum(act, 0.0, out=act)
+    resid = (a[..., None, :] @ act)[..., 0, :]
     resid /= m
     resid -= y
     loss = (resid[..., None, :] @ resid[..., None])[..., 0, 0] / n
     if not grad:
         return loss, act, None
-    g_common = 2.0 * resid / (n * m)
-    mask = g_common[..., None] * a[..., None, :]
-    mask *= pre > 0
-    return loss, act, ((np.swapaxes(act, -1, -2) @ g_common[..., None])[..., 0],
-                       np.swapaxes(mask, -1, -2) @ X, mask.sum(axis=-2))
+    g = 2.0 * resid / (n * m)
+    dWb = ((act > 0).astype(float) @ (X1.T * g[..., :, None])) * a[..., None]
+    return loss, act, ((act @ g[..., None])[..., 0], dWb[..., :-1], dWb[..., -1])
 
 
 def lbfgs_polish(P, m, X, y, maxiter):
@@ -176,6 +175,70 @@ def lbfgs_polish(P, m, X, y, maxiter):
         nits.append(res.nit)
         nfevs.append(res.nfev)
     return np.stack(polished), nits, nfevs
+
+
+def _refit_problem(act, costs, m):
+    """The refit's data: ``D_i = act_i / (c_i m)`` for each neuron of path
+    weight ``c_i > 1e-12`` and 0 otherwise, and the mask of those neurons."""
+    keep = costs > 1e-12
+    return np.divide(act, (costs * m)[..., None], out=np.zeros_like(act),
+                     where=keep[..., None]), keep
+
+
+def higham_gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def refit_certificate(act, y, costs, m, t, outer):
+    """Per row of a stacked refit (``act`` (K, m, n), ``costs`` and ``outer``
+    (K, m)): ``(gap, allowance, value)`` in loss units.  With ``z_i = c_i
+    a_i`` and R = t m the loss is ``|D^T z - y|^2 / n``; ``value`` is its
+    z-dependent part ``2/n (z.G.z / 2 - c.z)`` with ``G = D D^T`` and
+    ``c = D y``, and the Frank-Wolfe gap ``2/n (R |r|_inf - r.z)`` with
+    ``r = c - G z`` bounds its excess over the minimum on the ball
+    ``|z|_1 <= R``.  The allowance is the gap's change under the float error
+    of the sums that form r: D >= 0, so c and G z are off by at most
+    ``gamma_(n+m+2) (D|y| + G|z|)`` per entry, and the gap by R times the
+    largest of those, twice.  ``value``'s own float error is at most half
+    the allowance (``|z|.G|z|`` and ``|c|.|z|`` are at most R times those
+    entries)."""
+    n = act.shape[-1]
+    D, keep = _refit_problem(act, costs, m)
+    G, c = D @ np.swapaxes(D, -1, -2), (D @ y[:, None])[..., 0]
+    z = np.where(keep, outer * costs, 0.0)
+    Gz = (G @ z[..., None])[..., 0]
+    r = c - Gz
+    R = t * m
+    gap = 2.0 / n * (R * np.abs(r).max(axis=-1) - (r * z).sum(axis=-1))
+    err = higham_gamma(n + m + 2) * ((D @ np.abs(y)[:, None])[..., 0]
+                                     + (G @ np.abs(z)[..., None])[..., 0])
+    value = 2.0 / n * ((0.5 * Gz - c) * z).sum(axis=-1)
+    return gap, 2.0 / n * 2.0 * R * err.max(axis=-1), value
+
+
+def refit_outer_brute_force(act, y, costs, m, t):
+    """The refit by enumeration, for one network of width m <= 5: the least
+    squares point and, for every support A and sign pattern s, the solution
+    of the budget-binding KKT system ``[G_AA s; s^T 0] [z_A; lam] = [c_A;
+    R]``, each scaled into the ball, so each is feasible and the least loss
+    among them (the zero vector's included) is at least the minimum, which
+    the optimum's own support and signs attain: its outer weights."""
+    from itertools import combinations, product
+
+    D, keep = _refit_problem(act, costs, m)
+    G, c, R = D @ D.T, D @ y, t * m
+    points = [np.zeros(m), np.linalg.lstsq(G, c, rcond=None)[0]]
+    for k in range(1, m + 1):
+        for A in map(list, combinations(range(m), k)):
+            for s in product((-1.0, 1.0), repeat=k):
+                M = np.block([[G[np.ix_(A, A)], np.array(s)[:, None]], [np.array(s), 0.0]])
+                z = np.zeros(m)
+                z[A] = np.linalg.lstsq(M, np.append(c[A], R), rcond=None)[0][:k]
+                points.append(z)
+    points = [z * min(1.0, R / max(np.abs(z).sum(), 1e-300)) for z in points]
+    best = min(points, key=lambda z: 0.5 * z @ G @ z - c @ z)
+    return np.divide(best, costs, out=np.zeros(m), where=keep)
 
 
 def init_network_per_array(width, d, t, rng) -> TwoLayerNetwork:
@@ -247,7 +310,7 @@ def fit_restarts_per_array(target, t, width, config, X, y, seed,
     outer, inner, bias = stack(cands)
     loss, act, _ = relu_loss_per_array(outer, inner, bias, X, y)
     costs = np.abs(inner).sum(axis=-1) + np.abs(bias)
-    a_star = _refit_outer(act, y, costs, width, t, outer)
+    a_star = _refit_outer(act, y, costs, width, t)
     refit_loss = relu_loss_per_array(a_star, inner, bias, X, y)[0]
     winners = [None] * config.restarts
     for row, r in enumerate(alive):

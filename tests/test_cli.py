@@ -287,6 +287,23 @@ class TestSubcommandSmoke:
                        "--out", str(tmp_path)])
         assert rc == 3
 
+    def test_fit_over_budget_exits_3(self, monkeypatch, tmp_path, capsys):
+        """A fit whose winner leaves the path-norm ball is a numerical
+        failure: exit 3 with a message, not a traceback.  Here the refit
+        solves for a hundred times the budget, so its lower loss wins."""
+        from widthlab import widthprobe
+
+        refit = widthprobe._refit_outer
+        monkeypatch.setattr(widthprobe, "_refit_outer", lambda act, y, costs, m, t, *rest:
+                            refit(act, y, costs, m, 100 * t, *rest))
+        rc = cli.main(["width", "--t-grid", "0.5", "--width", "8", "--restarts", "1",
+                       "--steps", "20", "--quad", "256", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err
+        assert err.startswith("numerical failure: the fit at budget t=0.5 left the path-norm ball")
+        assert not (tmp_path / "results.csv").exists()
+
     def test_allocation_failure_exits_2(self, monkeypatch, tmp_path, capsys):
         """A size numpy cannot allocate (``width --quad`` 10^11, say) is an
         invalid configuration.  The runner raises the error itself: a real

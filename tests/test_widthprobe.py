@@ -1,6 +1,7 @@
 """Constrained approximation probe: projection, quadrature, curves."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +26,11 @@ from widthlab.util import spawn_rng
 from oracles import (
     certificate_consistency,
     fit_restarts_per_array,
+    higham_gamma,
     init_network_per_array,
     lbfgs_polish,
+    refit_certificate,
+    refit_outer_brute_force,
 )
 
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
@@ -150,20 +154,28 @@ class TestReluLoss:
         # no pre-activation within reach of a kink, so the loss is smooth
         assert np.min(np.abs(X @ W.T + b)) > 1e-3
         P = np.concatenate([a, W.ravel(), b])
-        loss, act, grad = _relu_loss(P, m, X, y, grad=True)
+        X1 = np.vstack([X.T, np.ones(n)])             # the fit's [X | 1]^T
+        loss, act, grad = _relu_loss(P, m, X1, y, grad=True)
         net = TwoLayerNetwork(a, W, b, RELU, averaged=True)
         assert loss == pytest.approx(np.mean((net.evaluate(X) - y) ** 2), rel=1e-12)
-        np.testing.assert_array_equal(act, np.maximum(X @ W.T + b, 0.0))
-        assert _relu_loss(P, m, X, y)[2] is None
+        # points last: act[i, k] is relu(w_i . x_k + b_i), a sum of d + 1
+        # products, within gamma_(d+1) of the exact value (Higham, Thm 3.1)
+        exact = np.array([[max(sum(Fraction(float(v)) * Fraction(float(u))
+                                   for v, u in zip(np.append(W[i], b[i]), X1[:, k])), 0)
+                           for k in range(n)] for i in range(m)], dtype=float)
+        assert act.shape == (m, n)
+        bound = higham_gamma(d + 1) * (np.abs(np.column_stack([W, b])) @ np.abs(X1))
+        assert np.all(np.abs(act - exact) <= bound)
+        assert _relu_loss(P, m, X1, y)[2] is None
         h = 1e-6
         assert grad.shape == P.shape
         fd = np.empty_like(P)
         for i in range(len(P)):
             orig = P[i]
             P[i] = orig + h
-            up = _relu_loss(P, m, X, y)[0]
+            up = _relu_loss(P, m, X1, y)[0]
             P[i] = orig - h
-            down = _relu_loss(P, m, X, y)[0]
+            down = _relu_loss(P, m, X1, y)[0]
             P[i] = orig
             fd[i] = (up - down) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
@@ -226,6 +238,92 @@ class TestFitConstrained:
         target = TargetFunction.custom(lambda X: X[:, 0], 1)
         with pytest.raises(TargetError, match="finite"):
             fit_constrained(target, t=t, width=4, config=FAST, seed=0, quad_seed=0, init_net=None)
+
+
+def refit_instance(kind, seed):
+    """One network's refit data ``(act, y, costs, m, t)``: points-last
+    activations (m, n) of m <= 5 neurons at n = 40 points, with the
+    degeneracy that ``kind`` names."""
+    rng = np.random.default_rng(seed)
+    m = 5 if kind != "random" else int(rng.integers(1, 6))
+    act = np.maximum(rng.standard_normal((m, 40)), 0.0)
+    y = rng.standard_normal(40)
+    costs = rng.uniform(0.5, 2.0, m)
+    t = float(rng.uniform(0.1, 1.0))
+    if kind == "duplicate":            # the same neuron twice: equal Gram rows
+        act[3], costs[3] = act[1], costs[1]
+    elif kind == "dead":               # an all-zero activation column
+        act[2] = 0.0
+    elif kind == "affine":             # act[4] in the span of act[0:3]
+        act[4] = 0.5 * act[0] + act[1] + 0.25 * act[2]
+    elif kind == "loose":              # budget above the least-squares l1 norm
+        t = 1e3
+    elif kind == "tiny":
+        t = 1e-6
+    return act, y, costs, m, t
+
+
+class TestRefitOuter:
+    """The outer refit is exact: against every support and sign pattern
+    (``oracles.refit_outer_brute_force``) its value agrees within the
+    float-error allowance of the certificate, it stays in the ball, and its
+    Frank-Wolfe gap is within that allowance."""
+
+    KINDS = ["random", "duplicate", "dead", "affine", "loose", "tiny"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_brute_force(self, kind, seed):
+        act, y, costs, m, t = refit_instance(kind, seed)
+        outer = widthprobe._refit_outer(act[None], y, costs[None], m, t)
+        brute = refit_outer_brute_force(act, y, costs, m, t)[None]
+        gap, allow, value = (v[0] for v in refit_certificate(act[None], y, costs[None], m, t,
+                                                             outer))
+        gap_b, allow_b, value_b = (v[0] for v in refit_certificate(act[None], y, costs[None],
+                                                                   m, t, brute))
+        assert np.abs(outer[0] * costs).sum() <= t * m * (1 + higham_gamma(m + 3))
+        assert gap <= allow
+        # each value is within half its allowance of the exact one, and the
+        # exact values differ by at most the exact gap of the larger, which
+        # is within its allowance of the computed gap
+        assert value - value_b <= gap + allow + (allow + allow_b) / 2
+        assert value_b - value <= gap_b + allow_b + (allow + allow_b) / 2
+        if kind == "dead":
+            assert outer[0, 2] == 0.0
+
+    def test_rows_match_lone_calls(self):
+        rows = [refit_instance(kind, 7) for kind in ("duplicate", "dead", "affine", "tiny")]
+        act = np.stack([r[0] for r in rows])
+        costs = np.stack([r[2] for r in rows])
+        y = rows[0][1]
+        stacked = widthprobe._refit_outer(act, y, costs, 5, 0.4)
+        for k in range(len(rows)):
+            lone = widthprobe._refit_outer(act[k:k + 1], y, costs[k:k + 1], 5, 0.4)
+            assert np.array_equal(stacked[k], lone[0])
+
+    def test_fit_refits_are_certified(self, monkeypatch):
+        """Every refit row of lab-mix's ``width`` run at seed 2, whose Grams
+        are rank deficient (dead, duplicate or affine neurons), is within its
+        allowance of the optimum and in the ball."""
+        rows = []
+        refit = widthprobe._refit_outer
+
+        def spy(act, y, costs, m, t):
+            outer = refit(act, y, costs, m, t)
+            rows.append((act, y, costs, m, t, outer))
+            return outer
+        monkeypatch.setattr(widthprobe, "_refit_outer", spy)
+        target = TargetFunction.distance_to_point_set(spawn_rng(2, 99).random((3, 2)))
+        config = FitConfig(steps=150, restarts=2, quadrature=("mc", 512), polish_iters=300)
+        rho_curve(target, [0.5, 1.0, 2.0], width=16, config=config, seed=2)
+        assert len(rows) == 3
+        singular = 0
+        for act, y, costs, m, t, outer in rows:
+            gap, allow, _ = refit_certificate(act, y, costs, m, t, outer)
+            assert np.all(gap <= allow)
+            assert np.all(np.abs(outer * costs).sum(axis=1) <= t * m * (1 + higham_gamma(m + 3)))
+            singular += sum(np.linalg.cond(a @ a.T) > 1e16 for a in act)
+        assert singular > 0
 
 
 class TestBatchedRestarts:
@@ -313,7 +411,8 @@ class TestLockstepPolish:
     def _polish(cls, kept, X, y, maxiter):
         """The fit's polish of the stack ``kept``, one ``minimize`` call on
         the stacked loss: its rows and its result."""
-        fg = lambda V: widthprobe._relu_loss(V, cls.WIDTH, X, y, grad=True)[::2]
+        X1 = np.vstack([X.T, np.ones(len(X))])
+        fg = lambda V: widthprobe._relu_loss(V, cls.WIDTH, X1, y, grad=True)[::2]
         res = widthprobe.minimize(fg, kept, maxiter)
         return res.x, res
 
