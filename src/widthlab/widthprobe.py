@@ -7,13 +7,14 @@ Measures, for a given Lipschitz target phi on the unit cube, the curve
 by optimization on a quadrature point set, so every reported value is an
 *upper* bound on the in-sample minimum at the fitted points (conclusions
 drawn from these curves are one-sided).  Radial rescaling of the outer
-weights, exact for relu by positive homogeneity, keeps each iterate in the
-budget, and each candidate's outer layer is then refit exactly under it.
-One point set serves the whole budget grid and each fit is seeded with the
-previous budget's solution, so the reported curve is nonincreasing by
-construction.  A fit's restarts are one array, a row each: Adam steps them
-together, their L-BFGS-B polish runs in lockstep (:func:`minimize`) and
-their candidates are scored as one stack.
+weights, exact for relu by positive homogeneity, keeps each Adam iterate in
+the budget.  One point set serves the whole budget grid and each fit is
+seeded with the previous budget's solution, so the reported curve is
+nonincreasing by construction.  A fit's restarts are one array, a row each:
+Adam steps them together and their L-BFGS-B polish runs in lockstep
+(:func:`minimize`).  A restart offers three candidates, its best, polished
+and last iterates, each with its outer layer refit exactly under the
+budget; all of a fit's candidates are scored as one stack.
 """
 
 from __future__ import annotations
@@ -371,26 +372,22 @@ def _fit_restarts(target, t, width, config, X, y, seed) -> list:
         pn = _path_norms(P, width)[0]
         over = (pn > t) & (pn > 0)
         P[over, :width] *= (t / pn[over])[:, None]
-    # per restart: the best iterate, its L-BFGS polish (all restarts in
-    # lockstep) and the last iterate, each projected as project_path_norm
-    # does (a NaN path norm included) and then refit, all 3R in one stack
+    # per restart three candidates: the best iterate, its L-BFGS polish (all
+    # restarts in lockstep) and the last iterate, each with its outer layer
+    # refit exactly, all 3R in one stack.  The refit reads only the inner
+    # weights, and it is at least as good as any outer layer in the ball
     kept = best[alive]
     fg = lambda V: _relu_loss(V, width, X1, y, grad=True)[::2]
     polished = minimize(fg, kept, config.polish_iters).x if config.polish_iters else kept
     cands = np.stack([kept, polished, P], axis=1).reshape(3 * len(alive), -1)
-    pn, costs = _path_norms(cands, width)
-    scale = ~((pn <= t) | (pn == 0.0))
-    cands[scale, :width] *= (t / pn[scale])[:, None]
-    loss, act, _ = _relu_loss(cands, width, X1, y)
-    refits = np.concatenate([_refit_outer(act, y, costs, width, t), cands[:, width:]], axis=1)
-    # per restart: each candidate, then its refit
-    pool = np.stack([cands, refits], axis=1).reshape(len(alive), 6, -1)
-    pool_loss = np.stack([loss, _relu_loss(refits, width, X1, y)[0]], axis=1).reshape(-1, 6)
+    act = _relu_loss(cands, width, X1, y)[1]
+    cands[:, :width] = _refit_outer(act, y, _path_norms(cands, width)[1], width, t)
+    loss = _relu_loss(cands, width, X1, y)[0].reshape(-1, 3)
     winners = [None] * config.restarts
     for row, r in enumerate(alive):
-        k = min(range(6), key=pool_loss[row].__getitem__)
-        winners[r] = (TwoLayerNetwork(*_views(pool[row, k], width), RELU, averaged=True),
-                      pool_loss[row, k])
+        k = min(range(3), key=loss[row].__getitem__)
+        winners[r] = (TwoLayerNetwork(*_views(cands[3 * row + k], width), RELU, averaged=True),
+                      loss[row, k])
     return winners
 
 

@@ -21,7 +21,7 @@ from widthlab.transport import (
     _check_balls,
 )
 from widthlab.util import fit_loglog, spawn_rng
-from widthlab.widthprobe import WidthCurve, _refit_outer, project_path_norm
+from widthlab.widthprobe import WidthCurve, _refit_outer
 
 
 def piecewise_linear_values(f: PiecewiseLinear1D, x) -> np.ndarray:
@@ -260,8 +260,8 @@ def fit_restarts_per_array(target, t, width, config, X, y, seed,
     """A fit's restarts with each network's parameters in three arrays
     ``(a, W, b)``: Adam steps the three stacks one by one, each restart is
     polished alone (:func:`lbfgs_polish`), and every candidate is a
-    :class:`TwoLayerNetwork`, projected by :func:`project_path_norm`.  Entry r
-    is restart r's best candidate and loss, or None when it was dropped."""
+    :class:`TwoLayerNetwork` with its outer layer refit.  Entry r is restart
+    r's best candidate and loss, or None when it was dropped."""
     def stack(nets):
         return [np.stack([getattr(net, f) for net in nets]) for f in ("outer", "inner", "bias")]
 
@@ -304,18 +304,15 @@ def fit_restarts_per_array(target, t, width, config, X, y, seed,
                                            axis=1), width, X, y, config.polish_iters)[0]
         polished = (rows[:, :width], rows[:, width:-width].reshape(len(alive), width, -1),
                     rows[:, -width:])
-    cands = [project_path_norm(TwoLayerNetwork(*(p[row] for p in params), RELU,
-                                               averaged=True), t)
-             for row in range(len(alive)) for params in (kept, polished, (a, W, b))]
-    outer, inner, bias = stack(cands)
-    loss, act, _ = relu_loss_per_array(outer, inner, bias, X, y)
+    outer, inner, bias = stack([TwoLayerNetwork(*(p[row] for p in params), RELU, averaged=True)
+                                for row in range(len(alive))
+                                for params in (kept, polished, (a, W, b))])
+    act = relu_loss_per_array(outer, inner, bias, X, y)[1]
     costs = np.abs(inner).sum(axis=-1) + np.abs(bias)
     a_star = _refit_outer(act, y, costs, width, t)
-    refit_loss = relu_loss_per_array(a_star, inner, bias, X, y)[0]
+    loss = relu_loss_per_array(a_star, inner, bias, X, y)[0]
     winners = [None] * config.restarts
     for row, r in enumerate(alive):
-        finals = [pair for k in range(3 * row, 3 * row + 3) for pair in (
-            (cands[k], loss[k]),
-            (TwoLayerNetwork(a_star[k], inner[k], bias[k], RELU, averaged=True), refit_loss[k]))]
-        winners[r] = min(finals, key=lambda c: c[1])
+        winners[r] = min(((TwoLayerNetwork(a_star[k], inner[k], bias[k], RELU, averaged=True),
+                           loss[k]) for k in range(3 * row, 3 * row + 3)), key=lambda c: c[1])
     return winners

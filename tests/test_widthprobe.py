@@ -288,6 +288,14 @@ class TestRefitOuter:
         # is within its allowance of the computed gap
         assert value - value_b <= gap + allow + (allow + allow_b) / 2
         assert value_b - value <= gap_b + allow_b + (allow + allow_b) / 2
+        # nor is any feasible outer layer better, such as a candidate's own
+        # once it is scaled into the ball
+        rng = np.random.default_rng([seed, 1])
+        z0 = rng.standard_normal(m)
+        z0 *= rng.random() * t * m / np.abs(z0).sum()
+        _, allow_0, value_0 = (v[0] for v in refit_certificate(act[None], y, costs[None], m, t,
+                                                               (z0 / costs)[None]))
+        assert value - value_0 <= gap + allow + (allow + allow_0) / 2
         if kind == "dead":
             assert outer[0, 2] == 0.0
 
@@ -324,6 +332,23 @@ class TestRefitOuter:
             assert np.all(np.abs(outer * costs).sum(axis=1) <= t * m * (1 + higham_gamma(m + 3)))
             singular += sum(np.linalg.cond(a @ a.T) > 1e16 for a in act)
         assert singular > 0
+
+    def test_dead_neuron_takes_the_refit(self, monkeypatch):
+        """A width-1 fit from a neuron dead on every point stays dead (relu'
+        is 0 there), so any outer weight gives the zero output's loss; each
+        candidate is refit, and the refit of a dead neuron is 0."""
+        target = TargetFunction.distance_to_point_set(np.random.default_rng(16).random((3, 2)))
+        config = FitConfig(steps=20, restarts=2, quadrature=("mc", 200), polish_iters=10)
+        X = widthprobe._quadrature_points(config.quadrature, 2, 7)
+        y = target.fn(X)
+        monkeypatch.setattr(widthprobe, "_init_network",
+                            lambda width, d, t, rng: np.array([0.3, 1.0, 1.0, -3.0]))
+        winners = widthprobe._fit_restarts(target, 0.7, 1, config, X, y, seed=5)
+        zero_loss = widthprobe._relu_loss(np.zeros(4), 1, np.vstack([X.T, np.ones(len(X))]),
+                                          y)[0]
+        for net, loss in winners:
+            assert net.outer[0] == 0.0
+            assert loss == zero_loss
 
 
 class TestBatchedRestarts:
