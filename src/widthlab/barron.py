@@ -119,10 +119,6 @@ class TwoLayerNetwork:
                 out = out / self.width
         return float(out[0]) if single else out
 
-    def scale_outer(self, factor: float) -> "TwoLayerNetwork":
-        return TwoLayerNetwork(self.outer * factor, self.inner.copy(), self.bias.copy(),
-                               self.activation, self.averaged)
-
     @classmethod
     def from_dict(cls, payload: dict) -> "TwoLayerNetwork":
         """Network from its wire format,

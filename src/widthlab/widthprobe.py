@@ -8,13 +8,14 @@ by optimization on a quadrature point set, so every reported value is an
 *upper* bound on the in-sample minimum at the fitted points (conclusions
 drawn from these curves are one-sided).  Radial rescaling of the outer
 weights, exact for relu by positive homogeneity, keeps each Adam iterate in
-the budget.  One point set serves the whole budget grid and each fit is
-seeded with the previous budget's solution, so the reported curve is
-nonincreasing by construction.  A fit's restarts are one array, a row each:
-Adam steps them together and their L-BFGS-B polish runs in lockstep
-(:func:`minimize`).  A restart offers three candidates, its best, polished
-and last iterates, each with its outer layer refit exactly under the
-budget; all of a fit's candidates are scored as one stack.
+the budget.  A fit's restarts are one array, a row each: Adam steps them
+together and their L-BFGS-B polish runs in lockstep (:func:`minimize`).  A
+restart offers three candidates, its best, polished and last iterates, each
+with its outer layer refit exactly under the budget.  One point set serves
+the whole budget grid and each fit is seeded with the previous budget's
+solution; a fit scores every candidate, that one and the zero network
+included, as a row of one stack with one kernel, so the reported curve is
+nonincreasing bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "fit_constrained",
-    "project_path_norm",
     "l2_error",
     "CurvePoint",
     "WidthCurve",
@@ -60,6 +60,10 @@ class TargetFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     d: int
     kind: str
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise TargetError(f"a target needs dimension >= 1, got {self.d}")
 
     @classmethod
     def distance_to_point_set(cls, points) -> "TargetFunction":
@@ -258,19 +262,6 @@ class FitResult:
     error: float              # L2 norm of the residual (sqrt of the integral)
 
 
-def project_path_norm(net: TwoLayerNetwork, t: float) -> TwoLayerNetwork:
-    """Radial rescaling onto the path-norm ball of radius t.
-
-    Scales the outer weights by ``t / path_norm`` when the constraint is
-    exceeded; a no-op otherwise.  For relu this moves along the ray of the
-    same function direction.
-    """
-    pn = path_norm(net)
-    if pn <= t or pn == 0.0:
-        return net
-    return net.scale_outer(t / pn)
-
-
 def _init_network(width: int, d: int, t: float, rng) -> np.ndarray:
     W = rng.standard_normal((width, d))
     b = -np.einsum("ij,ij->i", W, rng.random((width, d)))  # kinks anchored inside the cube
@@ -335,31 +326,32 @@ def _refit_outer(act, y, costs, m, t):
     return np.divide(z, costs, out=np.zeros_like(z), where=keep)
 
 
-def _fit_restarts(target, t, width, config, X, y, seed) -> list:
-    """Every restart of projected Adam on the shared quadrature set as one
-    stack P of rows ``[a, W row-major, b]`` (:func:`_views`), the step size
-    cosine-annealed from 0.08 to 1e-3.  Restart r starts from
-    ``spawn_rng(seed, r)`` and does the arithmetic of a lone fit.  Entry r is
-    its best candidate and loss, or None when its loss turned non-finite and
-    it was dropped."""
-    X1 = np.vstack([X.T, np.ones(len(X))])      # [X | 1]^T, built once per fit
-    P = np.stack([_init_network(width, target.d, t, spawn_rng(seed, r))
+def _fit_restarts(t, width, config, X1, y, seed) -> np.ndarray:
+    """Every restart of projected Adam at the points ``X1 = [X | 1]^T`` as
+    one stack P of rows ``[a, W row-major, b]`` (:func:`_views`), the step
+    size cosine-annealed from 0.08 to 1e-3.  Restart r starts from
+    ``spawn_rng(seed, r)`` and does the arithmetic of a lone fit.  Returns
+    three candidate rows per restart, in restart order: its best, polished
+    and last iterates, each with its outer layer refit exactly under the
+    budget.  A restart whose loss turns non-finite is dropped, so the stack
+    is empty when every restart is."""
+    P = np.stack([_init_network(width, len(X1) - 1, t, spawn_rng(seed, r))
                   for r in range(config.restarts)])
     M1, M2 = np.zeros_like(P), np.zeros_like(P)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    alive = np.arange(config.restarts)      # restart of each row of P
     best_loss = np.full(config.restarts, np.inf)
-    best = P.copy()                         # indexed by restart
+    best = P.copy()
     for step in range(config.steps):
         loss, _, G = _relu_loss(P, width, X1, y, grad=True)
         ok = np.isfinite(loss)
         if not ok.all():  # drop the restarts whose loss turned non-finite
-            alive, loss, P, G, M1, M2 = (v[ok] for v in (alive, loss, P, G, M1, M2))
-            if not alive.size:
-                return [None] * config.restarts
-        better = loss < best_loss[alive]
-        best_loss[alive[better]] = loss[better]
-        best[alive[better]] = P[better]
+            loss, P, G, M1, M2, best, best_loss = (
+                v[ok] for v in (loss, P, G, M1, M2, best, best_loss))
+            if not len(P):
+                return P
+        better = loss < best_loss
+        best_loss[better] = loss[better]
+        best[better] = P[better]
         lr = 1e-3 + 0.5 * (0.08 - 1e-3) * (1 + math.cos(math.pi * step / config.steps))
         M1 *= beta1
         M1 += (1 - beta1) * G
@@ -372,23 +364,16 @@ def _fit_restarts(target, t, width, config, X, y, seed) -> list:
         pn = _path_norms(P, width)[0]
         over = (pn > t) & (pn > 0)
         P[over, :width] *= (t / pn[over])[:, None]
-    # per restart three candidates: the best iterate, its L-BFGS polish (all
-    # restarts in lockstep) and the last iterate, each with its outer layer
-    # refit exactly, all 3R in one stack.  The refit reads only the inner
-    # weights, and it is at least as good as any outer layer in the ball
-    kept = best[alive]
+    # the best iterate, its L-BFGS polish (all restarts in lockstep) and the
+    # last iterate, each with its outer layer refit exactly.  The refit reads
+    # only the inner weights, and it is at least as good as any outer layer
+    # in the ball
     fg = lambda V: _relu_loss(V, width, X1, y, grad=True)[::2]
-    polished = minimize(fg, kept, config.polish_iters).x if config.polish_iters else kept
-    cands = np.stack([kept, polished, P], axis=1).reshape(3 * len(alive), -1)
+    polished = minimize(fg, best, config.polish_iters).x if config.polish_iters else best
+    cands = np.stack([best, polished, P], axis=1).reshape(3 * len(P), -1)
     act = _relu_loss(cands, width, X1, y)[1]
     cands[:, :width] = _refit_outer(act, y, _path_norms(cands, width)[1], width, t)
-    loss = _relu_loss(cands, width, X1, y)[0].reshape(-1, 3)
-    winners = [None] * config.restarts
-    for row, r in enumerate(alive):
-        k = min(range(3), key=loss[row].__getitem__)
-        winners[r] = (TwoLayerNetwork(*_views(cands[3 * row + k], width), RELU, averaged=True),
-                      loss[row, k])
-    return winners
+    return cands
 
 
 def fit_constrained(target: TargetFunction, t: float, width: int, config: FitConfig,
@@ -397,35 +382,43 @@ def fit_constrained(target: TargetFunction, t: float, width: int, config: FitCon
     """Best-of-multi-start constrained fit; returns an upper bound on the
     in-sample minimal L2 error at budget t on the fitted points.
 
-    ``init_net``, unless None, is projected onto the budget and joins the
-    candidate pool, which makes warm-started sweeps monotone by
-    construction.  ``quad_seed`` selects the quadrature point set; sweeps
-    over t share it.
+    One loss kernel scores every candidate as a row of one stack, and the
+    first least loss wins: the zero network, ``init_net`` unless None (an
+    averaged relu network of the fit's width and dimension, scaled radially
+    into the ball, never refit) and, if t > 0, the restarts' candidates.  So
+    a warm start inside the ball repeats its earlier bits.  ``quad_seed``
+    selects the quadrature point set; sweeps over t share it.
     """
     if width < 1:
         raise TargetError("width must be >= 1")
     if not math.isfinite(t) or t < 0:
         raise TargetError(f"budget t must be finite and nonnegative, got {t}")
+    if init_net is not None and (init_net.width, init_net.dim, init_net.activation,
+                                 init_net.averaged) != (width, target.d, RELU, True):
+        raise TargetError(f"init_net must be an averaged relu network of width {width} "
+                          f"in d={target.d}")
     X = _quadrature_points(config.quadrature, target.d, quad_seed)
+    X1 = np.vstack([X.T, np.ones(len(X))])      # [X | 1]^T, built once per fit
     y = np.asarray(target.fn(X), dtype=float)
-
-    zero = TwoLayerNetwork(np.zeros(1), np.zeros((1, target.d)), np.zeros(1),
-                           RELU, averaged=True)
-    candidates: List[Tuple[TwoLayerNetwork, float]] = [
-        (zero, float(np.mean(y**2)))]
+    rows = [np.zeros(width * (target.d + 2))]
+    if init_net is not None:
+        warm = np.concatenate([init_net.outer, init_net.inner.ravel(), init_net.bias])
+        pn = _path_norms(warm, width)[0]
+        if pn > t:    # Adam's radial projection
+            warm[:width] *= t / pn
+        rows.append(warm)
     if t > 0:
-        if init_net is not None:
-            warm = project_path_norm(init_net, t)
-            resid = np.asarray(warm.evaluate(X)) - y
-            candidates.append((warm, float(np.mean(resid**2))))
-        winners = [w for w in _fit_restarts(target, t, width, config, X, y, seed) if w]
-        if not winners:
+        cands = _fit_restarts(t, width, config, X1, y, seed)
+        if not len(cands):
             raise OptimizationError("every restart produced non-finite losses")
-        candidates += winners
-    net, loss = min(candidates, key=lambda c: c[1])
+        rows.append(cands)
+    P = np.vstack(rows)
+    loss = _relu_loss(P, width, X1, y)[0]
+    k = min(range(len(P)), key=loss.__getitem__)   # a NaN never replaces a least loss
+    net = TwoLayerNetwork(*_views(P[k], width), RELU, averaged=True)
     if not path_norm(net) <= t * (1 + 1e-9) + 1e-12:
         raise OptimizationError(f"the fit at budget t={t} left the path-norm ball")
-    return FitResult(net=net, error=math.sqrt(max(loss, 0.0)))
+    return FitResult(net=net, error=math.sqrt(max(loss[k], 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +446,10 @@ def rho_curve(target: TargetFunction, t_grid: Sequence[float], width: int,
     """Upper-bound curve of best errors over an increasing budget grid.
 
     One quadrature set, drawn from ``seed``, is shared across the grid, and
-    each budget is warm started from the previous solution, so the curve is
-    nonincreasing by construction.  The tail decay exponent is fitted on
-    the upper half of the grid (positive errors only).
+    each budget is warm started from the previous solution, which
+    :func:`fit_constrained` scores unchanged with the kernel that scored it
+    before, so the curve is nonincreasing bit for bit.  The tail decay
+    exponent is fitted on the upper half of the grid (positive errors only).
     """
     t_grid = list(t_grid)
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):

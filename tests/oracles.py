@@ -248,11 +248,10 @@ def init_network_per_array(width, d, t, rng) -> TwoLayerNetwork:
     anchors = rng.random((width, d))
     b = -np.einsum("ij,ij->i", W, anchors)  # kinks anchored inside the cube
     a = 0.5 * rng.standard_normal(width)
-    net = TwoLayerNetwork(a, W, b, RELU, averaged=True)
-    pn = path_norm(net)
+    pn = path_norm(TwoLayerNetwork(a, W, b, RELU, averaged=True))
     if pn > 0:
-        net = net.scale_outer(min(t, 1.0 + 0.5 * t) / pn)
-    return net
+        a = a * (min(t, 1.0 + 0.5 * t) / pn)
+    return TwoLayerNetwork(a, W, b, RELU, averaged=True)
 
 
 def fit_restarts_per_array(target, t, width, config, X, y, seed,
@@ -260,8 +259,9 @@ def fit_restarts_per_array(target, t, width, config, X, y, seed,
     """A fit's restarts with each network's parameters in three arrays
     ``(a, W, b)``: Adam steps the three stacks one by one, each restart is
     polished alone (:func:`lbfgs_polish`), and every candidate is a
-    :class:`TwoLayerNetwork` with its outer layer refit.  Entry r is restart
-    r's best candidate and loss, or None when it was dropped."""
+    :class:`TwoLayerNetwork` with its outer layer refit.  Returns the
+    candidates as rows ``[a, W row-major, b]``, three per restart that was
+    not dropped, in restart order."""
     def stack(nets):
         return [np.stack([getattr(net, f) for net in nets]) for f in ("outer", "inner", "bias")]
 
@@ -280,7 +280,7 @@ def fit_restarts_per_array(target, t, width, config, X, y, seed,
             alive, loss, a, W, b = alive[ok], loss[ok], a[ok], W[ok], b[ok]
             grads, state, state2 = ([v[ok] for v in vs] for vs in (grads, state, state2))
             if not alive.size:
-                return [None] * config.restarts
+                return np.empty((0, width * (X.shape[1] + 2)))
         better = loss < best_loss[alive]
         best_loss[alive[better]] = loss[better]
         for kept, p in zip(best, (a, W, b)):
@@ -310,9 +310,4 @@ def fit_restarts_per_array(target, t, width, config, X, y, seed,
     act = relu_loss_per_array(outer, inner, bias, X, y)[1]
     costs = np.abs(inner).sum(axis=-1) + np.abs(bias)
     a_star = _refit_outer(act, y, costs, width, t)
-    loss = relu_loss_per_array(a_star, inner, bias, X, y)[0]
-    winners = [None] * config.restarts
-    for row, r in enumerate(alive):
-        winners[r] = min(((TwoLayerNetwork(a_star[k], inner[k], bias[k], RELU, averaged=True),
-                           loss[k]) for k in range(3 * row, 3 * row + 3)), key=lambda c: c[1])
-    return winners
+    return np.concatenate([a_star, inner.reshape(len(inner), -1), bias], axis=1)

@@ -43,8 +43,9 @@ class TestPathNorm:
     def test_outer_homogeneity(self):
         rng = np.random.default_rng(0)
         net = random_relu_net(rng, d=3)
-        assert path_norm(net.scale_outer(2.0)) == pytest.approx(2 * path_norm(net), rel=1e-12)
-        assert path_norm(net.scale_outer(-3.0)) == pytest.approx(3 * path_norm(net), rel=1e-12)
+        for factor in (2.0, -3.0):
+            scaled = TwoLayerNetwork(net.outer * factor, net.inner, net.bias, RELU, averaged=True)
+            assert path_norm(scaled) == pytest.approx(abs(factor) * path_norm(net), rel=1e-12)
 
     def test_relu_reparametrization_invariance(self):
         """(a, w, b) -> (a/lam, lam w, lam b) changes neither values nor norm."""

@@ -565,6 +565,21 @@ def test_malformed_network_file_exits_2(argv, payload, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("neurons", ["[]", "[[1.0, [], 0.1]]"])
+def test_width_network_of_dimension_0_exits_2(neurons, tmp_path, capsys):
+    """A width target needs a dimension, as ``--d 0`` does: a --network with
+    no inputs used to run a d=0 fit and exit 0."""
+    path = tmp_path / "net.json"
+    path.write_text('{"neurons": %s}' % neurons)
+    rc = cli.main(["width", "--t-grid", "1", "--target", "barron", "--network", str(path),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "dimension >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("averaged", ['"false"', "null", "0"])
 def test_network_averaged_must_be_a_boolean(averaged, tmp_path, capsys):
     """``averaged`` is a JSON boolean: the string "false" used to read as

@@ -1,4 +1,4 @@
-"""Constrained approximation probe: projection, quadrature, curves."""
+"""Constrained approximation probe: warm starts, quadrature, curves."""
 
 import dataclasses
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from widthlab import widthprobe
-from widthlab.barron import RELU, OptimizationError, TwoLayerNetwork, path_norm
+from widthlab.barron import RELU, TANH, OptimizationError, TwoLayerNetwork, path_norm
 from widthlab.widthprobe import (
     FitConfig,
     TargetError,
@@ -17,7 +17,6 @@ from widthlab.widthprobe import (
     CurvePoint,
     fit_constrained,
     l2_error,
-    project_path_norm,
     rho_curve,
 )
 from widthlab.widthprobe import _relu_loss
@@ -36,6 +35,11 @@ from oracles import (
 FAST = FitConfig(steps=250, restarts=2, quadrature=("mc", 1024), polish_iters=50)
 #: the width subcommand's fit budget (``cli``'s flag defaults and its polish)
 CLI_FIT = {"steps": 600, "restarts": 6, "quadrature": ("mc", 2048), "polish_iters": 300}
+
+
+def points_last(X):
+    """A fit's points ``X1 = [X | 1]^T``."""
+    return np.vstack([X.T, np.ones(len(X))])
 
 
 def make_target_net(rng, d, width=3):
@@ -68,22 +72,66 @@ class TestTargets:
         assert holds_lipschitz(target, path_norm(net), seed=3)
 
 
-class TestProjection:
-    def test_noop_inside_ball(self):
-        rng = np.random.default_rng(2)
-        net = make_target_net(rng, 2)
-        out = project_path_norm(net, path_norm(net) * 2)
-        assert out is net
+class TestWarmRow:
+    """``init_net`` joins a fit's candidate stack as one row: scaled radially
+    onto the ball if it lies outside, never refit, and scored with the other
+    candidates by one loss kernel."""
 
-    def test_rescales_onto_sphere_keeping_direction(self):
-        rng = np.random.default_rng(3)
-        net = make_target_net(rng, 2)
+    TARGET = TargetFunction.distance_to_point_set(np.random.default_rng(17).random((2, 2)))
+    #: one Adam step of one restart: a candidate a tuned fit beats
+    WEAK = FitConfig(steps=1, restarts=1, quadrature=("mc", 256), polish_iters=0)
+
+    def test_inside_ball_scored_unchanged(self):
+        """A warm start inside the ball that wins repeats its error and its
+        network bit for bit."""
+        tuned = dataclasses.replace(FAST, quadrature=self.WEAK.quadrature)
+        first = fit_constrained(self.TARGET, t=0.6, width=6, config=tuned, seed=1,
+                                quad_seed=4, init_net=None)
+        cold = fit_constrained(self.TARGET, t=1.2, width=6, config=self.WEAK, seed=2,
+                               quad_seed=4, init_net=None)
+        res = fit_constrained(self.TARGET, t=1.2, width=6, config=self.WEAK, seed=2,
+                              quad_seed=4, init_net=first.net)
+        assert first.error < cold.error
+        assert res.error == first.error
+        for f in ("outer", "inner", "bias"):
+            assert np.array_equal(getattr(res.net, f), getattr(first.net, f))
+
+    def test_outside_ball_scaled_onto_sphere(self, monkeypatch):
+        """The stack scored is the zero row, the warm row and the restarts'
+        candidates; the warm row of a network outside the ball lies on its
+        sphere, with its inner weights untouched."""
+        net = make_target_net(np.random.default_rng(18), 2, width=4)
         t = path_norm(net) / 3
-        out = project_path_norm(net, t)
-        assert path_norm(out) == pytest.approx(t, rel=1e-12)
-        ratio = out.outer / net.outer
+        stacks = []
+        loss_of = widthprobe._relu_loss
+
+        def spy(P, *args, **kwargs):
+            stacks.append(P.copy())
+            return loss_of(P, *args, **kwargs)
+        monkeypatch.setattr(widthprobe, "_relu_loss", spy)
+        fit_constrained(self.TARGET, t=t, width=4, config=self.WEAK, seed=0, quad_seed=0,
+                        init_net=net)
+        scored = stacks[-1]
+        assert len(scored) == 2 + 3 and not scored[0].any()
+        a, W, b = widthprobe._views(scored[1], 4)
+        assert path_norm(TwoLayerNetwork(a, W, b, RELU, averaged=True)) == pytest.approx(
+            t, rel=1e-12)
+        ratio = a / net.outer
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
-        np.testing.assert_array_equal(out.inner, net.inner)
+        np.testing.assert_array_equal(W, net.inner)
+        np.testing.assert_array_equal(b, net.bias)
+
+    @pytest.mark.parametrize("width, d, activation, averaged", [
+        (3, 2, RELU, True), (4, 3, RELU, True), (4, 2, TANH, True), (4, 2, RELU, False)])
+    def test_mismatched_init_net_rejected(self, width, d, activation, averaged):
+        """A warm start is read as a row of the fit's layout, so it must be an
+        averaged relu network of the fit's width and dimension."""
+        rng = np.random.default_rng(19)
+        net = TwoLayerNetwork(rng.standard_normal(width), rng.standard_normal((width, d)),
+                              rng.standard_normal(width), activation, averaged=averaged)
+        with pytest.raises(TargetError, match="init_net"):
+            fit_constrained(self.TARGET, t=1.0, width=4, config=self.WEAK, seed=0,
+                            quad_seed=0, init_net=net)
 
 
 class TestL2Error:
@@ -154,7 +202,7 @@ class TestReluLoss:
         # no pre-activation within reach of a kink, so the loss is smooth
         assert np.min(np.abs(X @ W.T + b)) > 1e-3
         P = np.concatenate([a, W.ravel(), b])
-        X1 = np.vstack([X.T, np.ones(n)])             # the fit's [X | 1]^T
+        X1 = points_last(X)
         loss, act, grad = _relu_loss(P, m, X1, y, grad=True)
         net = TwoLayerNetwork(a, W, b, RELU, averaged=True)
         assert loss == pytest.approx(np.mean((net.evaluate(X) - y) ** 2), rel=1e-12)
@@ -343,12 +391,12 @@ class TestRefitOuter:
         y = target.fn(X)
         monkeypatch.setattr(widthprobe, "_init_network",
                             lambda width, d, t, rng: np.array([0.3, 1.0, 1.0, -3.0]))
-        winners = widthprobe._fit_restarts(target, 0.7, 1, config, X, y, seed=5)
-        zero_loss = widthprobe._relu_loss(np.zeros(4), 1, np.vstack([X.T, np.ones(len(X))]),
-                                          y)[0]
-        for net, loss in winners:
-            assert net.outer[0] == 0.0
-            assert loss == zero_loss
+        X1 = points_last(X)
+        rows = widthprobe._fit_restarts(0.7, 1, config, X1, y, seed=5)
+        zero_loss = widthprobe._relu_loss(np.zeros(4), 1, X1, y)[0]
+        assert len(rows) == 2 * 3
+        assert np.all(rows[:, 0] == 0.0)
+        assert np.all(widthprobe._relu_loss(rows, 1, X1, y)[0] == zero_loss)
 
 
 class TestBatchedRestarts:
@@ -358,27 +406,24 @@ class TestBatchedRestarts:
 
     CFG = FitConfig(steps=60, restarts=2, quadrature=("mc", 256), polish_iters=20)
 
-    def _winners(self, restarts, init=widthprobe._init_network):
+    def _rows(self, restarts, init=widthprobe._init_network):
+        """The fit's candidate rows, three per restart kept."""
         target = TargetFunction.distance_to_point_set(np.random.default_rng(12).random((2, 2)))
         X = widthprobe._quadrature_points(self.CFG.quadrature, 2, 7)
         config = dataclasses.replace(self.CFG, restarts=restarts)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(widthprobe, "_init_network", init)
-            return widthprobe._fit_restarts(target, 0.8, 10, config, X, target.fn(X), seed=3)
+            return widthprobe._fit_restarts(0.8, 10, config, points_last(X), target.fn(X),
+                                            seed=3)
 
     @staticmethod
-    def _assert_same(one, other):
-        (net, loss), (net2, loss2) = one, other
-        assert loss == pytest.approx(loss2, rel=1e-12, abs=1e-15)
-        for f in ("outer", "inner", "bias"):
-            np.testing.assert_allclose(getattr(net, f), getattr(net2, f),
-                                       rtol=1e-12, atol=1e-15)
+    def _assert_same(rows, other):
+        np.testing.assert_allclose(rows, other, rtol=1e-12, atol=1e-15)
 
     def test_winner_does_not_depend_on_the_restart_count(self):
-        two, five = self._winners(2), self._winners(5)
-        assert len(five) == 5 and all(w is not None for w in five)
-        for r in range(2):
-            self._assert_same(two[r], five[r])
+        two, five = self._rows(2), self._rows(5)
+        assert len(five) == 5 * 3
+        self._assert_same(two, five[:2 * 3])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_restart_dropped_alone(self):
@@ -393,11 +438,9 @@ class TestBatchedRestarts:
             init.calls += 1
             return row
         init.calls = 0
-        winners = self._winners(3, init)
-        assert winners[1] is None
-        full = self._winners(3)
-        self._assert_same(winners[0], full[0])
-        self._assert_same(winners[2], full[2])
+        rows = self._rows(3, init)
+        assert len(rows) == 2 * 3
+        self._assert_same(rows, np.delete(self._rows(3), range(3, 6), axis=0))
 
     def test_single_restart(self):
         target = TargetFunction.distance_to_point_set(np.random.default_rng(13).random((2, 2)))
@@ -436,7 +479,7 @@ class TestLockstepPolish:
     def _polish(cls, kept, X, y, maxiter):
         """The fit's polish of the stack ``kept``, one ``minimize`` call on
         the stacked loss: its rows and its result."""
-        X1 = np.vstack([X.T, np.ones(len(X))])
+        X1 = points_last(X)
         fg = lambda V: widthprobe._relu_loss(V, cls.WIDTH, X1, y, grad=True)[::2]
         res = widthprobe.minimize(fg, kept, maxiter)
         return res.x, res
@@ -492,7 +535,7 @@ class TestLockstepPolish:
 
     @pytest.mark.parametrize("polish_iters", [0, 20])
     def test_fit_matches_lone_polish(self, polish_iters, monkeypatch):
-        """A fit's winners are those of the per-restart polish; with
+        """A fit's candidates are those of the per-restart polish; with
         ``polish_iters=0`` no L-BFGS-B runs at all."""
         target = TargetFunction.distance_to_point_set(np.random.default_rng(14).random((2, 2)))
         config = FitConfig(steps=60, restarts=3, quadrature=("mc", 256),
@@ -506,27 +549,27 @@ class TestLockstepPolish:
             return lockstep(*args)
 
         def fit():
-            return widthprobe._fit_restarts(target, 0.8, 10, config, X, target.fn(X), seed=3)
+            return widthprobe._fit_restarts(0.8, 10, config, points_last(X), target.fn(X),
+                                            seed=3)
         monkeypatch.setattr(widthprobe, "minimize", spy)
         got = fit()
         assert len(calls) == (1 if polish_iters else 0)
         monkeypatch.setattr(widthprobe, "minimize", lambda fg, kept, maxiter: OptimizeResult(
             x=lbfgs_polish(kept, 10, X, target.fn(X), maxiter)[0]))
         want = fit()
-        for (net, loss), (ref, ref_loss) in zip(got, want):
-            assert loss == ref_loss
-            for f in ("outer", "inner", "bias"):
-                assert np.array_equal(getattr(net, f), getattr(ref, f))
+        assert len(got) == 3 * 3
+        assert np.array_equal(got, want)
 
 
 class TestParameterStack:
     """A fit keeps its restarts in one stack of rows ``[a, W row-major, b]``
-    from Adam to the winners; they are the winners of the fit on three
-    arrays per network (``oracles.fit_restarts_per_array``), bit for bit."""
+    from Adam to the refit candidates; they are the candidates of the fit on
+    three arrays per network (``oracles.fit_restarts_per_array``), bit for
+    bit."""
 
     @staticmethod
     def _fits(d, width, restarts, polish_iters, poisoned=()):
-        """The winners of both fits; each restart in ``poisoned`` starts with
+        """The candidates of both fits; each restart in ``poisoned`` starts with
         an infinite outer weight, so it is dropped at the first step."""
         target = TargetFunction.distance_to_point_set(np.random.default_rng(15).random((3, d)))
         config = FitConfig(steps=50, restarts=restarts, quadrature=("mc", 200),
@@ -545,46 +588,56 @@ class TestParameterStack:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(widthprobe, "_init_network",
                           poison(widthprobe._init_network, lambda row: row))
-            got = widthprobe._fit_restarts(target, 0.7, width, config, X, target.fn(X), seed=5)
+            got = widthprobe._fit_restarts(0.7, width, config, points_last(X), target.fn(X),
+                                           seed=5)
         want = fit_restarts_per_array(
             target, 0.7, width, config, X, target.fn(X), seed=5,
             init=poison(init_network_per_array, lambda net: net.outer))
         return got, want
-
-    @staticmethod
-    def _assert_same(got, want):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g is None) == (w is None)
-            if g is not None:
-                (net, loss), (ref, ref_loss) = g, w
-                assert loss == ref_loss
-                for f in ("outer", "inner", "bias"):
-                    assert np.array_equal(getattr(net, f), getattr(ref, f))
 
     @pytest.mark.parametrize("polish_iters", [0, 15])
     @pytest.mark.parametrize("restarts", [1, 3])
     @pytest.mark.parametrize("width", [1, 5, 16])
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_matches_per_array_fit(self, d, width, restarts, polish_iters):
-        self._assert_same(*self._fits(d, width, restarts, polish_iters))
+        got, want = self._fits(d, width, restarts, polish_iters)
+        assert got.shape == (3 * restarts, width * (d + 2))
+        assert np.array_equal(got, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("polish_iters", [0, 15])
     @pytest.mark.parametrize("poisoned", [(1,), (0, 2), (0, 1, 2)])
     def test_dropped_restarts_match_per_array_fit(self, poisoned, polish_iters):
         got, want = self._fits(2, 6, 3, polish_iters, poisoned)
-        assert [r for r, w in enumerate(got) if w is None] == list(poisoned)
-        self._assert_same(got, want)
+        assert got.shape == (3 * (3 - len(poisoned)), 6 * 4)
+        assert np.array_equal(got, want)
+
+
+#: small d=1 sweeps ``(target of the seed, t grid, width, config)`` whose
+#: warm starts win often: the ``width --target absdist --d 1 --width 4
+#: --restarts 1 --steps 30 --quad 256`` run, and one on three random anchors
+SWEEPS = {
+    "absdist": (lambda seed: TargetFunction.custom(lambda X: np.abs(X[:, 0] - 0.5), 1),
+                [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], 4,
+                FitConfig(steps=30, restarts=1, quadrature=("mc", 256), polish_iters=300)),
+    "anchors": (lambda seed: TargetFunction.distance_to_point_set(
+                    spawn_rng(seed, 99).random((3, 1))),
+                [0.1, 0.2, 0.4, 0.8, 1.6, 3.2], 2,
+                FitConfig(steps=20, restarts=1, quadrature=("mc", 128), polish_iters=300)),
+}
 
 
 class TestRhoCurve:
-    def test_monotone_by_construction(self):
-        rng = np.random.default_rng(10)
-        target = TargetFunction.distance_to_point_set(rng.random((2, 2)))
-        curve = rho_curve(target, [0.2, 0.5, 1.0, 2.0], width=12, config=FAST, seed=4)
+    @pytest.mark.parametrize("seed", range(1, 31))
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_monotone_by_construction(self, sweep, seed):
+        """Each budget's fit scores the previous solution with the kernel
+        that scored it before, so the curve never rises, not even by an
+        ulp."""
+        target, t_grid, width, config = SWEEPS[sweep]
+        curve = rho_curve(target(seed), t_grid, width=width, config=config, seed=seed)
         errs = np.array([p.error for p in curve.samples])
-        assert np.all(np.diff(errs) <= 1e-12)
+        assert np.all(np.diff(errs) <= 0)
         assert np.all(errs >= 0)
 
     def test_bit_identical_reruns(self):
